@@ -9,6 +9,7 @@ Borel construction for d = 2, 3.
 
 from .borel import (
     AlphaModuleSummand,
+    CheckEntry,
     ConsistencyReport,
     SSPage,
     SwHeight,
@@ -31,24 +32,20 @@ from .decomp import (
 )
 from .gf2 import (
     Gf2Matrix,
-    Gf2Vector,
     QuotientBasis,
     SubspaceNotPreservedError,
     induced_map_on_quotient,
-    kernel_basis,
     quotient_structure,
     rank,
 )
 from .quotient import (
     KernelPresentation,
     PhiStar,
-    QuotientPresentation,
     conf_dim,
     conf_module,
     fixed_element_x,
     kernel_generators,
     phi_star_build,
-    top_relation,
 )
 from .torus import (
     Decomposition,
@@ -66,7 +63,7 @@ from .torus import (
     torus_module,
     total_dim,
 )
-from .verify import CheckEntry, SuiteResult, poincare_product, run_checks
+from .verify import SuiteResult, poincare_product, run_checks
 
 __version__ = "0.1.0"
 
@@ -77,12 +74,10 @@ __all__ = [
     "ConsistencyReport",
     "Decomposition",
     "Gf2Matrix",
-    "Gf2Vector",
     "KernelPresentation",
     "Monomial",
     "PhiStar",
     "QuotientBasis",
-    "QuotientPresentation",
     "SSPage",
     "Sigma2Module",
     "SubspaceNotPreservedError",
@@ -104,7 +99,6 @@ __all__ = [
     "fixed_element_x",
     "fixture_page",
     "induced_map_on_quotient",
-    "kernel_basis",
     "kernel_generators",
     "kunneth_basis",
     "kunneth_index",
@@ -119,7 +113,6 @@ __all__ = [
     "run_checks",
     "sigma_matrix",
     "sw_height",
-    "top_relation",
     "torus_closed_form",
     "torus_module",
     "total_dim",

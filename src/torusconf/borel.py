@@ -125,40 +125,35 @@ def _fixture_pages() -> dict[tuple[int, int | None], SSPage]:
             entry["d"], page, entry["pmax"], rows, flags,
             provenance="fixture", source_figure=entry["source_figure"],
         )
+    # The d = 2 sequence degenerates after page 4: page 4 already equals the
+    # limit page.
+    pages[2, 4] = replace(pages[2, None], page=4)
     return pages
+
+
+def _stored_page(d: int, page: int | str | None, first: int) -> SSPage:
+    """The stored table of ``page`` for d, refused below page ``first``."""
+    norm = _normalize_page(page)
+    stored = _fixture_pages().get((d, norm))
+    if stored is None or (norm is not None and norm < first):
+        raise ValueError(
+            f"no stored page {PAGE_INF if norm is None else norm} for d={d}: "
+            "later pages exist only for d in {2, 3} (pages 3 and inf, and "
+            "page 4 for d = 2); differentials are not computed automatically"
+        )
+    return stored
 
 
 def fixture_page(d: int, page: int | str | None) -> SSPage:
     """Stored page table for d in {2, 3}; page 2 is the figure transcription
     that the computed e2_page must reproduce."""
-    norm = _normalize_page(page)
-    pages = _fixture_pages()
-    if norm == 4 and d == 2:
-        # The d = 2 sequence degenerates after page 4: page 4 already equals
-        # the limit page.
-        return replace(pages[2, None], page=4)
-    try:
-        return pages[d, norm]
-    except KeyError:
-        raise ValueError(
-            f"no stored page {PAGE_INF if norm is None else norm} for d={d}: "
-            "later pages exist only for d in {2, 3} "
-            "(differentials are not computed automatically)"
-        ) from None
+    return _stored_page(d, page, 2)
 
 
 def later_page_fixture(d: int, page: int | str | None) -> SSPage:
     """Hand-resolved pages after the second: r in {3, 4, inf} for d = 2 and
     r in {3, inf} for d = 3."""
-    norm = _normalize_page(page)
-    allowed = {2: (3, 4, None), 3: (3, None)}.get(d, ())
-    if norm not in allowed:
-        raise ValueError(
-            f"no stored page {PAGE_INF if norm is None else norm} for d={d}: "
-            "later pages exist only for d in {2, 3} "
-            "(differentials are not computed automatically)"
-        )
-    return fixture_page(d, norm)
+    return _stored_page(d, page, 3)
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,9 @@ def sw_height(d: int) -> SwHeight:
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckEntry:
+    """One named verification outcome with a human-readable detail."""
+
     name: str
     passed: bool
     detail: str = ""
@@ -268,7 +265,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class ConsistencyReport:
     d: int
-    results: tuple[CheckResult, ...]
+    results: tuple[CheckEntry, ...]
     notes: tuple[str, ...] = ()
 
     @property
@@ -371,7 +368,7 @@ def consistency_check(d: int) -> ConsistencyReport:
         if computed.rows[q][p] != fix2.rows[q][p]
     ]
     results.append(
-        CheckResult(
+        CheckEntry(
             "second-page-match",
             not bad,
             "computed page equals stored table" if not bad
@@ -382,7 +379,7 @@ def consistency_check(d: int) -> ConsistencyReport:
     expected = uconf_fixture(d).graded_dims(2 * d)
     sums = fixinf.antidiagonal_sums(2 * d)
     results.append(
-        CheckResult(
+        CheckEntry(
             "graded-dimension-match",
             sums == expected,
             f"anti-diagonal sums {sums} vs module dims {expected}",
@@ -397,7 +394,7 @@ def consistency_check(d: int) -> ConsistencyReport:
         if a.rows[q][p] < b.rows[q][p]
     ]
     results.append(
-        CheckResult(
+        CheckEntry(
             "entrywise-monotone",
             not mono_bad,
             "pages never grow" if not mono_bad
@@ -417,7 +414,7 @@ def consistency_check(d: int) -> ConsistencyReport:
             detail = f"pages 3->inf: unattributable drop at (p, q) = {cellinf}"
     except ValueError as exc:
         ok, detail = False, str(exc)
-    results.append(CheckResult("rank-drop-attribution", ok, detail))
+    results.append(CheckEntry("rank-drop-attribution", ok, detail))
 
     notes = ()
     if d == 2:

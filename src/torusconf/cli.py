@@ -23,7 +23,7 @@ from .torus import Decomposition
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-DMAX_CAP = 10
+DMAX_CAP = 9
 
 
 def _nonneg(text: str) -> int:
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ss", help="emit a spectral-sequence page")
     p.add_argument("--d", type=_positive, required=True)
-    p.add_argument("--page", choices=("2", "3", "inf"), required=True)
+    p.add_argument("--page", choices=("2", "3", "4", "inf"), required=True)
     p.add_argument("--pmax", type=_nonneg, default=None,
                    help="last column to print (default 2d+2)")
     common(p)

@@ -87,14 +87,6 @@ class ClosedFormReport:
     published_regular: Fraction
     published_integral: bool
 
-    @property
-    def published_matches(self) -> bool:
-        return (
-            self.published_integral
-            and self.published_trivial == self.corrected.trivial
-            and self.published_regular == self.corrected.regular
-        )
-
 
 def closed_form_report(d: int, i: int) -> ClosedFormReport:
     """Evaluate brute force, the corrected count and the published count."""

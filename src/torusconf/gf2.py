@@ -6,8 +6,8 @@ Python integers are word-limbed bitsets, so XOR row operations run at
 machine speed with no array dependency.
 
 Pivoting is deterministic: elimination always takes the lowest-index
-(leftmost) column available, so echelon forms, kernel bases and coset
-representatives are reproducible across runs and platforms.
+(leftmost) column available, so echelon forms and coset representatives
+are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -23,53 +23,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-@dataclass(frozen=True)
-class Gf2Vector:
-    """A fixed-length coordinate vector over GF(2)."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("negative vector length")
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits fall outside the declared length")
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> Gf2Vector:
-        bits = 0
-        for j in support:
-            bits |= 1 << j
-        return cls(length, bits)
-
-    def __xor__(self, other: Gf2Vector) -> Gf2Vector:
-        if self.length != other.length:
-            raise ValueError("vector length mismatch")
-        return Gf2Vector(self.length, self.bits ^ other.bits)
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError(j)
-        return (self.bits >> j) & 1
-
-    def dot(self, other: Gf2Vector) -> int:
-        if self.length != other.length:
-            raise ValueError("vector length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(bit_indices(self.bits))
 
 
 @dataclass(frozen=True)
@@ -95,42 +48,9 @@ class Gf2Matrix:
     def identity(cls, n: int) -> Gf2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Gf2Vector], ncols: int | None = None) -> Gf2Matrix:
-        vecs = list(rows)
-        if ncols is None:
-            if not vecs:
-                raise ValueError("ncols required for an empty matrix")
-            ncols = vecs[0].length
-        for v in vecs:
-            if v.length != ncols:
-                raise ValueError("rows of unequal length")
-        return cls(len(vecs), ncols, tuple(v.bits for v in vecs))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.nrows, self.ncols
-
-    def row(self, i: int) -> Gf2Vector:
-        return Gf2Vector(self.ncols, self.rows[i])
-
-    def column(self, j: int) -> Gf2Vector:
-        if not 0 <= j < self.ncols:
-            raise IndexError(j)
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r >> j) & 1:
-                bits |= 1 << i
-        return Gf2Vector(self.nrows, bits)
-
-    def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
-        if v.length != self.ncols:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r & v.bits).bit_count() & 1:
-                bits |= 1 << i
-        return Gf2Vector(self.nrows, bits)
 
     def __add__(self, other: Gf2Matrix) -> Gf2Matrix:
         if self.shape != other.shape:
@@ -203,29 +123,14 @@ def rank(m: Gf2Matrix) -> int:
     return len(_echelon_pivots(m.rows))
 
 
-def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
-    """A basis of {v : m v = 0}, one vector per free column, in column order."""
-    pivots = _rref(m.rows)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivots:
-            continue
-        bits = 1 << f
-        for p, r in pivots.items():
-            if (r >> f) & 1:
-                bits |= 1 << p
-        basis.append(Gf2Vector(m.ncols, bits))
-    return basis
-
-
 @dataclass(frozen=True)
 class QuotientBasis:
     """An ambient space modulo a subspace, with canonical coset representatives.
 
     ``rows`` is the reduced row-echelon basis of the subspace, ordered by
     pivot; ``free_coords`` (the pivot-free coordinates) index a basis of the
-    quotient. ``reduce`` sends any ambient vector to the unique coset
-    representative supported on the free coordinates, so reduce(v) == 0
+    quotient. ``reduce_bits`` sends any ambient vector to the unique coset
+    representative supported on the free coordinates, so reduce_bits(v) == 0
     exactly when v lies in the subspace.
     """
 
@@ -263,40 +168,14 @@ class QuotientBasis:
             hits ^= low
         return bits
 
-    def reduce(self, v: Gf2Vector) -> Gf2Vector:
-        if v.length != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return Gf2Vector(self.ambient_dim, self.reduce_bits(v.bits))
 
-    def contains(self, v: Gf2Vector) -> bool:
-        return self.reduce(v).is_zero
-
-    def to_quotient(self, v: Gf2Vector) -> Gf2Vector:
-        """Coordinates of the coset of v in the free-coordinate basis."""
-        reduced = self.reduce(v).bits
-        index = self._free_index
-        bits = 0
-        for b in bit_indices(reduced):
-            bits |= 1 << index[b]
-        return Gf2Vector(self.dim, bits)
-
-    def lift(self, w: Gf2Vector) -> Gf2Vector:
-        """The canonical ambient representative of quotient coordinates w."""
-        if w.length != self.dim:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for k in bit_indices(w.bits):
-            bits |= 1 << self.free_coords[k]
-        return Gf2Vector(self.ambient_dim, bits)
-
-
-def quotient_structure(ambient_dim: int, subspace: Iterable[Gf2Vector]) -> QuotientBasis:
-    """Row-reduce ``subspace`` and package the quotient of the ambient space."""
-    masks = []
-    for v in subspace:
-        if v.length != ambient_dim:
-            raise ValueError("subspace vector of wrong length")
-        masks.append(v.bits)
+def quotient_structure(ambient_dim: int, subspace: Iterable[int]) -> QuotientBasis:
+    """Row-reduce the ``subspace`` masks and package the quotient of the
+    ambient space."""
+    masks = list(subspace)
+    for v in masks:
+        if v < 0 or v >> ambient_dim:
+            raise ValueError("subspace vector has bits outside the ambient space")
     reduced = _rref(masks)
     pivots = tuple(sorted(reduced))
     pivot_set = set(pivots)
@@ -309,7 +188,7 @@ def induced_map_on_quotient(m: Gf2Matrix, q: QuotientBasis) -> Gf2Matrix:
 
     Raises SubspaceNotPreservedError unless m maps the subspace of ``q``
     into itself. The result commutes with reduction: for every ambient v,
-    reduce(m v) represents induced(reduce(v)).
+    reduce_bits(m v) represents induced(reduce_bits(v)).
     """
     if m.shape != (q.ambient_dim, q.ambient_dim):
         raise ValueError("map must be an endomorphism of the ambient space")

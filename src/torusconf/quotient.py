@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .gf2 import (
     Gf2Matrix,
-    Gf2Vector,
     QuotientBasis,
     induced_map_on_quotient,
     quotient_structure,
@@ -85,24 +84,13 @@ def _top_terms(d: int) -> tuple[TensorClass, ...]:
     )
 
 
-def top_relation(d: int) -> Gf2Vector:
-    """The degree-d relation vector: the shear image of 1 x (top monomial)."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    index = kunneth_index(d, d)
-    bits = 0
-    for term in _top_terms(d):
-        bits |= 1 << index[term.key]
-    return Gf2Vector(total_dim(d, d), bits)
-
-
 @dataclass(frozen=True)
 class KernelPresentation:
     """Generators of the restriction kernel in one degree, with its span."""
 
     d: int
     i: int
-    generators: tuple[Gf2Vector, ...]
+    generators: tuple[int, ...]
     quotient: QuotientBasis
 
     @property
@@ -113,12 +101,13 @@ class KernelPresentation:
 def kernel_generators(d: int, i: int) -> KernelPresentation:
     """The C(d, i-d) kernel generators in degree i (none below degree d).
 
-    Each generator is the cup product of a left-factor monomial of degree
-    i-d with the top relation; terms with a repeated index drop out, leaving
-    2^(2d-i) terms per generator.
+    The one generator in degree d is the top relation, the shear image of
+    1 x (top monomial). Each generator is the cup product of a left-factor
+    monomial of degree i-d with the top relation; terms with a repeated
+    index drop out, leaving 2^(2d-i) terms per generator.
     """
     ambient = total_dim(d, i)
-    gens: list[Gf2Vector] = []
+    gens: list[int] = []
     if d <= i <= 2 * d:
         top = _top_terms(d)
         index = kunneth_index(d, i)
@@ -129,17 +118,8 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
                 c = cup(left, term)
                 if c is not None:
                     bits ^= 1 << index[c.key]
-            gens.append(Gf2Vector(ambient, bits))
+            gens.append(bits)
     return KernelPresentation(d, i, tuple(gens), quotient_structure(ambient, gens))
-
-
-@dataclass(frozen=True)
-class QuotientPresentation:
-    """Ambient tensor basis, kernel subspace and quotient data of a module."""
-
-    ambient_basis: tuple[TensorClass, ...]
-    kernel: KernelPresentation
-    quotient: QuotientBasis
 
 
 def conf_dim(d: int, i: int) -> int:
@@ -166,13 +146,10 @@ def conf_module(d: int, i: int) -> Sigma2Module:
     sigma = induced_map_on_quotient(sigma_matrix(d, i), kp.quotient)
     basis = kunneth_basis(d, i)
     labels = tuple(basis[f] for f in kp.quotient.free_coords)
-    return Sigma2Module(
-        kp.quotient.dim, labels, sigma,
-        presentation=QuotientPresentation(basis, kp, kp.quotient),
-    )
+    return Sigma2Module(kp.quotient.dim, labels, sigma, presentation=kp)
 
 
-def fixed_element_x(d: int, i: int, m: Monomial) -> Gf2Vector:
+def fixed_element_x(d: int, i: int, m: Monomial) -> int:
     """A representative whose coset is swap-fixed yet nonzero.
 
     Take the kernel generator attached to ``m`` and keep one term from each
@@ -199,4 +176,4 @@ def fixed_element_x(d: int, i: int, m: Monomial) -> Gf2Vector:
         if sub == 0:
             break
         sub = (sub - 1) & free
-    return Gf2Vector(total_dim(d, i), bits)
+    return bits

@@ -17,10 +17,10 @@ from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Mapping
 
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices
+from .gf2 import Gf2Matrix, bit_indices
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .quotient import QuotientPresentation
+    from .quotient import KernelPresentation
 
 
 def binom(m: int, n: int) -> int:
@@ -44,14 +44,6 @@ class Monomial:
     def degree(self) -> int:
         return self.mask.bit_count()
 
-    def indices(self) -> tuple[int, ...]:
-        """1-based cell indices, ascending."""
-        return tuple(b + 1 for b in bit_indices(self.mask))
-
-    @property
-    def is_unit(self) -> bool:
-        return self.mask == 0
-
 
 @dataclass(frozen=True, order=True)
 class TensorClass:
@@ -59,10 +51,6 @@ class TensorClass:
 
     left: Monomial
     right: Monomial
-
-    @property
-    def degree(self) -> int:
-        return self.left.degree + self.right.degree
 
     def swap(self) -> TensorClass:
         return TensorClass(self.right, self.left)
@@ -131,21 +119,22 @@ def cup(a: TensorClass, b: TensorClass) -> TensorClass | None:
     )
 
 
-def cup_vector(d: int, deg_a: int, a: Gf2Vector, deg_b: int, b: Gf2Vector) -> Gf2Vector:
-    """Bilinear extension of the cup product to coefficient vectors."""
+def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
+    """Bilinear extension of the cup product to coefficient vectors, given
+    and returned as masks over the tensor basis of each degree."""
     basis_a = kunneth_basis(d, deg_a)
     basis_b = kunneth_basis(d, deg_b)
-    if a.length != len(basis_a) or b.length != len(basis_b):
+    if a < 0 or a >> len(basis_a) or b < 0 or b >> len(basis_b):
         raise ValueError("vector does not match the stated degree")
     index = kunneth_index(d, deg_a + deg_b)
     bits = 0
-    for ia in bit_indices(a.bits):
+    for ia in bit_indices(a):
         ta = basis_a[ia]
-        for ib in bit_indices(b.bits):
+        for ib in bit_indices(b):
             c = cup(ta, basis_b[ib])
             if c is not None:
                 bits ^= 1 << index[c.key]
-    return Gf2Vector(total_dim(d, deg_a + deg_b), bits)
+    return bits
 
 
 def sigma_matrix(d: int, i: int) -> Gf2Matrix:
@@ -172,35 +161,27 @@ class Decomposition:
         if self.trivial + 2 * self.regular != self.dim:
             raise ValueError("trivial + 2 * regular must equal dim")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
 
 @dataclass(frozen=True)
 class Sigma2Module:
     """A finite F2-vector space with a designated involution.
 
     When the module is presented as an ambient tensor-basis space modulo a
-    stable subspace, ``presentation`` records the ambient basis, the
-    relation subspace and the quotient structure; ``sigma`` is then the
-    induced involution on quotient coordinates.
+    stable subspace, ``presentation`` records the relation generators and
+    the quotient structure; ``sigma`` is then the induced involution on
+    quotient coordinates.
     """
 
     dim: int
     basis_labels: tuple[TensorClass, ...]
     sigma: Gf2Matrix
-    presentation: "QuotientPresentation | None" = None
+    presentation: "KernelPresentation | None" = None
 
     def __post_init__(self) -> None:
         if self.sigma.shape != (self.dim, self.dim):
             raise ValueError("sigma must be a dim x dim matrix")
         if len(self.basis_labels) != self.dim:
             raise ValueError("one label per basis vector required")
-
-    @property
-    def is_quotient(self) -> bool:
-        return self.presentation is not None
 
 
 def zero_module() -> Sigma2Module:

@@ -15,14 +15,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .borel import consistency_check, sw_height
+from .borel import CheckEntry, consistency_check, sw_height
 from .decomp import (
     conf_closed_form,
     decompose,
     published_closed_form,
     reduced_table,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, bit_indices
+from .gf2 import Gf2Matrix, bit_indices
 from .quotient import (
     conf_module,
     fixed_element_x,
@@ -42,13 +42,6 @@ from .torus import (
 )
 
 _SAMPLE_SEED = 95077
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,7 @@ def _check_poincare(d: int, decs) -> CheckEntry:
 
 def _check_kernel_span(d: int, modules) -> CheckEntry:
     for i in range(d, 2 * d):
-        kp = modules[i].presentation.kernel
+        kp = modules[i].presentation
         expected = binom(d, i - d)
         if len(kp.generators) != expected or kp.span_dim != expected:
             return CheckEntry(
@@ -131,7 +124,7 @@ def _check_fixed_element(d: int, modules) -> CheckEntry:
         index = kunneth_index(d, i)
         perm = [index[tc.swap().key] for tc in basis]
         for m in monomials(d, i - d):
-            x = fixed_element_x(d, i, m).bits
+            x = fixed_element_x(d, i, m)
             rep = quo.reduce_bits(x)
             if rep == 0:
                 return CheckEntry(
@@ -161,11 +154,9 @@ def _multiplicative_on(d, transposes, a_deg, a_idx, b_deg, b_idx) -> bool:
         return True
     lhs = transposes[a_deg + b_deg].rows[kunneth_index(d, a_deg + b_deg)[c.key]]
     rhs = cup_vector(
-        d,
-        a_deg, Gf2Vector(total_dim(d, a_deg), transposes[a_deg].rows[a_idx]),
-        b_deg, Gf2Vector(total_dim(d, b_deg), transposes[b_deg].rows[b_idx]),
+        d, a_deg, transposes[a_deg].rows[a_idx], b_deg, transposes[b_deg].rows[b_idx]
     )
-    return lhs == rhs.bits
+    return lhs == rhs
 
 
 def _check_phi_star(d: int, sample_pairs: int) -> CheckEntry:

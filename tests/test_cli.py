@@ -1,9 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from torusconf import cli
 from torusconf.cli import main, module_label
 
 
@@ -108,6 +113,14 @@ def test_ss_limit_page_d3(capsys):
     assert payload["rows"][4]["dims"] == [6, 3, 0, 0, 0, 0, 0, 0]
 
 
+def test_ss_fourth_page_d2_is_the_limit_page(capsys):
+    code, doc = run_json(capsys, "ss", "--d", "2", "--page", "4", "--pmax", "5")
+    assert code == 0
+    _, limit = run_json(capsys, "ss", "--d", "2", "--page", "inf", "--pmax", "5")
+    assert doc["payload"]["page"] == 4
+    assert doc["payload"]["rows"] == limit["payload"]["rows"]
+
+
 def test_ss_default_pmax(capsys):
     code, doc = run_json(capsys, "ss", "--d", "2", "--page", "2")
     assert code == 0
@@ -115,9 +128,10 @@ def test_ss_default_pmax(capsys):
 
 
 def test_ss_unsupported_page_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "ss", "--d", "4", "--page", "3")
-    assert code == 2
-    assert "later pages" in err
+    for d, page in (("4", "3"), ("3", "4")):
+        code, _, err = run_cli(capsys, "ss", "--d", d, "--page", page)
+        assert code == 2
+        assert "later pages" in err
 
 
 # --- poincare ------------------------------------------------------------------
@@ -141,10 +155,16 @@ def test_check_dmax1(capsys):
     assert any("reported, not a failure" in n for n in payload["notes"])
 
 
-def test_check_caps_dmax(capsys):
-    code, _, err = run_cli(capsys, "check", "--dmax", "11")
-    assert code == 2
-    assert "--force" in err
+def test_check_caps_dmax(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the capped sweep must not start")
+
+    # a sweep past the cap does not fit in memory, so never let one run here
+    monkeypatch.setattr(cli, "run_checks", refuse)
+    for dmax in ("10", "11"):
+        code, _, err = run_cli(capsys, "check", "--dmax", dmax)
+        assert code == 2
+        assert "--force" in err
 
 
 # --- rendering ------------------------------------------------------------------
@@ -195,6 +215,26 @@ def test_version_flag(capsys):
 
 
 # --- determinism -----------------------------------------------------------------
+
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+# The two documents that take seconds: the benchmark itself runs them.
+SLOW_DOCUMENTS = ("check --dmax 8", "table --d 9")
+
+
+def test_documents_match_recorded_digests():
+    digests = json.loads(DIGESTS.read_text())
+    checked = 0
+    for command, digest in sorted(digests.items()):
+        if command in SLOW_DOCUMENTS:
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
+        checked += 1
+    assert checked == len(digests) - len(SLOW_DOCUMENTS)
+
 
 def test_check_output_is_byte_identical_across_runs():
     cmd = [sys.executable, "-m", "torusconf.cli", "check", "--dmax", "2"]

@@ -68,18 +68,20 @@ def test_report_3_3():
     assert rep.brute == rep.corrected == Decomposition(19, 1, 9)
     assert rep.published_regular == Fraction(15, 2)
     assert not rep.published_integral
-    assert not rep.published_matches
 
 
 def test_report_even_case_agreement():
     rep = closed_form_report(3, 4)
-    assert rep.published_matches
-    assert rep.brute == Decomposition(12, 6, 3)
+    assert rep.published_integral
+    assert (rep.published_trivial, rep.published_regular) == (6, 3)
+    assert rep.brute == rep.corrected == Decomposition(12, 6, 3)
 
 
 def test_report_below_d():
     rep = closed_form_report(2, 1)
-    assert rep.published_matches
+    assert rep.published_integral
+    assert (rep.published_trivial, rep.published_regular) == (0, 2)
+    assert rep.corrected == rep.brute
     assert (rep.brute.trivial, rep.brute.regular) == (0, 2)
 
 

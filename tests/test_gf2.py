@@ -4,14 +4,13 @@ from hypothesis import strategies as st
 
 from torusconf.gf2 import (
     Gf2Matrix,
-    Gf2Vector,
     SubspaceNotPreservedError,
     bit_indices,
     induced_map_on_quotient,
-    kernel_basis,
     quotient_structure,
     rank,
 )
+from torusconf.torus import cup_vector
 
 
 def brute_span(masks, n):
@@ -50,28 +49,6 @@ def test_rank_does_not_mutate():
     assert m.rows == (0b011, 0b110)
 
 
-# --- kernel -------------------------------------------------------------
-
-def test_kernel_of_identity_empty():
-    assert kernel_basis(Gf2Matrix.identity(3)) == []
-
-
-def test_kernel_of_zero_map_is_everything():
-    basis = kernel_basis(Gf2Matrix.zero(2, 3))
-    assert len(basis) == 3
-    assert len(brute_span([v.bits for v in basis], 3)) == 8
-
-
-def test_kernel_single_row_against_enumeration():
-    m = mat([0b111], 3)
-    basis = kernel_basis(m)
-    assert len(basis) == 2
-    for v in basis:
-        assert m.mul_vec(v).is_zero
-    expected = {v for v in range(8) if (v & 0b111).bit_count() % 2 == 0}
-    assert brute_span([v.bits for v in basis], 3) == expected
-
-
 @st.composite
 def matrices(draw, max_dim=6):
     r = draw(st.integers(0, max_dim))
@@ -82,13 +59,7 @@ def matrices(draw, max_dim=6):
 
 @given(matrices())
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
-
-
-@given(matrices())
-def test_kernel_vectors_are_killed(m):
-    for v in kernel_basis(m):
-        assert m.mul_vec(v).is_zero
+    assert 1 << rank(m) == len(brute_span(m.rows, m.ncols))
 
 
 # --- quotients ----------------------------------------------------------
@@ -97,26 +68,26 @@ def test_quotient_by_nothing_is_identity():
     q = quotient_structure(3, [])
     assert q.dim == 3
     for bits in range(8):
-        assert q.reduce(Gf2Vector(3, bits)).bits == bits
+        assert q.reduce_bits(bits) == bits
 
 
 def test_quotient_by_everything_is_zero():
-    q = quotient_structure(2, [Gf2Vector(2, 0b01), Gf2Vector(2, 0b10)])
+    q = quotient_structure(2, [0b01, 0b10])
     assert q.dim == 0
     for bits in range(4):
-        assert q.reduce(Gf2Vector(2, bits)).is_zero
+        assert q.reduce_bits(bits) == 0
 
 
 def test_quotient_coset_arithmetic_exhaustive():
-    q = quotient_structure(3, [Gf2Vector(3, 0b111)])
+    q = quotient_structure(3, [0b111])
     assert q.dim == 2
-    r100 = q.reduce(Gf2Vector(3, 0b001))
-    r011 = q.reduce(Gf2Vector(3, 0b110))
-    assert (r100 ^ r011).bits == q.reduce(Gf2Vector(3, 0b111)).bits == 0
-    # reduce(v) == 0 exactly on the subspace, over all 2^3 vectors
+    r100 = q.reduce_bits(0b001)
+    r011 = q.reduce_bits(0b110)
+    assert r100 ^ r011 == q.reduce_bits(0b111) == 0
+    # reduce_bits(v) == 0 exactly on the subspace, over all 2^3 vectors
     for bits in range(8):
         in_span = bits in (0, 0b111)
-        assert q.reduce(Gf2Vector(3, bits)).is_zero == in_span
+        assert (q.reduce_bits(bits) == 0) == in_span
 
 
 @st.composite
@@ -124,17 +95,27 @@ def subspaces(draw, max_dim=7):
     n = draw(st.integers(1, max_dim))
     k = draw(st.integers(0, n))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
-    return n, [Gf2Vector(n, r) for r in rows]
+    return n, rows
 
 
 @given(subspaces(), st.data())
 def test_reduce_idempotent_and_linear(sub, data):
     n, rows = sub
     q = quotient_structure(n, rows)
-    u = Gf2Vector(n, data.draw(st.integers(0, (1 << n) - 1)))
-    v = Gf2Vector(n, data.draw(st.integers(0, (1 << n) - 1)))
-    assert q.reduce(q.reduce(u)) == q.reduce(u)
-    assert q.reduce(u ^ v) == q.reduce(u) ^ q.reduce(v)
+    u = data.draw(st.integers(0, (1 << n) - 1))
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    assert q.reduce_bits(q.reduce_bits(u)) == q.reduce_bits(u)
+    assert q.reduce_bits(u ^ v) == q.reduce_bits(u) ^ q.reduce_bits(v)
+
+
+@given(subspaces())
+def test_kernel_vectors_are_killed(sub):
+    # the kernel of reduction is exactly the span of the subspace rows
+    n, rows = sub
+    q = quotient_structure(n, rows)
+    span = brute_span(rows, n)
+    for v in range(1 << n):
+        assert (q.reduce_bits(v) == 0) == (v in span)
 
 
 @given(subspaces())
@@ -142,26 +123,41 @@ def test_quotient_dim_plus_span_dim(sub):
     n, rows = sub
     q = quotient_structure(n, rows)
     assert q.dim + len(q.pivots) == n
-    assert len(brute_span([r.bits for r in rows], n)) == 1 << len(q.pivots)
+    assert len(brute_span(rows, n)) == 1 << len(q.pivots)
+
+
+def lift(q, w):
+    """The ambient mask carrying quotient coordinates w on the free coordinates."""
+    bits = 0
+    for k in bit_indices(w):
+        bits |= 1 << q.free_coords[k]
+    return bits
+
+
+def to_quotient(q, v):
+    """Quotient coordinates of the coset of v, read off its representative."""
+    rep = q.reduce_bits(v)
+    return sum(1 << k for k, f in enumerate(q.free_coords) if (rep >> f) & 1)
 
 
 def test_lift_then_reduce_round_trip():
-    q = quotient_structure(3, [Gf2Vector(3, 0b111)])
-    for bits in range(1 << q.dim):
-        w = Gf2Vector(q.dim, bits)
-        assert q.to_quotient(q.lift(w)) == w
+    # a mask on the free coordinates is its own coset representative
+    q = quotient_structure(3, [0b111])
+    for w in range(1 << q.dim):
+        assert q.reduce_bits(lift(q, w)) == lift(q, w)
+        assert to_quotient(q, lift(q, w)) == w
 
 
 # --- induced maps -------------------------------------------------------
 
 def test_induced_identity_is_identity():
-    q = quotient_structure(3, [Gf2Vector(3, 0b111)])
+    q = quotient_structure(3, [0b111])
     ind = induced_map_on_quotient(Gf2Matrix.identity(3), q)
     assert ind == Gf2Matrix.identity(2)
 
 
 def test_induced_on_zero_quotient():
-    q = quotient_structure(2, [Gf2Vector(2, 0b01), Gf2Vector(2, 0b10)])
+    q = quotient_structure(2, [0b01, 0b10])
     ind = induced_map_on_quotient(Gf2Matrix.identity(2), q)
     assert ind.shape == (0, 0)
 
@@ -169,7 +165,7 @@ def test_induced_on_zero_quotient():
 def test_induced_swap_mod_diagonal():
     # basis {ab, ba}, swap, modulo <ab + ba>: the induced map is 1x1 identity
     swap = mat([0b10, 0b01], 2)
-    q = quotient_structure(2, [Gf2Vector(2, 0b11)])
+    q = quotient_structure(2, [0b11])
     ind = induced_map_on_quotient(swap, q)
     assert ind == Gf2Matrix.identity(1)
 
@@ -177,7 +173,7 @@ def test_induced_swap_mod_diagonal():
 def test_unstable_subspace_raises():
     # shift e0 -> e1 -> 0 does not stabilise <e0>
     m = mat([0, 0b01], 2)
-    q = quotient_structure(2, [Gf2Vector(2, 0b01)])
+    q = quotient_structure(2, [0b01])
     with pytest.raises(SubspaceNotPreservedError):
         induced_map_on_quotient(m, q)
 
@@ -204,29 +200,44 @@ def preserving_setups(draw, max_dim=6):
     return q, m, cols
 
 
+def apply(m, v):
+    """m v, one parity per row."""
+    return sum(1 << i for i, r in enumerate(m.rows) if (r & v).bit_count() & 1)
+
+
 @given(preserving_setups())
 def test_induced_commutes_with_reduction(setup):
     q, m, cols = setup
     ind = induced_map_on_quotient(m, q)
     for j in range(q.ambient_dim):
-        image = Gf2Vector(q.ambient_dim, cols[j])
-        lhs = q.to_quotient(image)
-        rhs = ind.mul_vec(q.to_quotient(Gf2Vector.from_support(q.ambient_dim, [j])))
+        lhs = to_quotient(q, cols[j])
+        rhs = apply(ind, to_quotient(q, 1 << j))
         assert lhs == rhs
 
 
 # --- value types --------------------------------------------------------
 
 def test_vector_validation():
+    # a subspace vector must be a mask inside the ambient space
+    assert quotient_structure(2, [0b11]).dim == 1
     with pytest.raises(ValueError):
-        Gf2Vector(2, 0b100)
+        quotient_structure(2, [0b100])
     with pytest.raises(ValueError):
-        Gf2Vector(-1, 0)
+        quotient_structure(2, [0b01, 1 << 70])
+    with pytest.raises(ValueError):
+        quotient_structure(2, [-1])
 
 
 def test_vector_length_mismatch():
+    # cup_vector masks must fit the basis of their stated degree: d = 2 has
+    # four degree-1 classes and one degree-0 class
+    assert cup_vector(2, 1, 0b1000, 0, 0b1) == 0b1000
     with pytest.raises(ValueError):
-        Gf2Vector(2, 1) ^ Gf2Vector(3, 1)
+        cup_vector(2, 1, 0b10000, 0, 0b1)
+    with pytest.raises(ValueError):
+        cup_vector(2, 1, 0b1000, 0, 0b10)
+    with pytest.raises(ValueError):
+        cup_vector(2, 1, -1, 0, 0b1)
 
 
 def test_matrix_validation():
@@ -237,11 +248,10 @@ def test_matrix_validation():
 
 
 def test_matrix_transpose_and_column():
+    # row j of the transpose is column j
     m = mat([0b01, 0b11], 2)
-    t = m.transpose()
-    assert t.rows == (0b11, 0b10)
-    assert m.column(0).bits == 0b11
-    assert m.column(1).bits == 0b10
+    assert m.transpose().rows == (0b11, 0b10)
+    assert mat([0b011, 0b110], 3).transpose() == mat([0b01, 0b11, 0b10], 2)
 
 
 @given(matrices(max_dim=5))

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torusconf.decomp import decompose
-from torusconf.gf2 import Gf2Matrix, Gf2Vector
+from torusconf.gf2 import Gf2Matrix, bit_indices
 from torusconf.torus import (
     Decomposition,
     Monomial,
@@ -34,7 +34,7 @@ def test_monomials_degree_zero():
 
 
 def test_monomials_degree_one():
-    assert [m.indices() for m in monomials(3, 1)] == [(1,), (2,), (3,)]
+    assert [m.mask for m in monomials(3, 1)] == [0b001, 0b010, 0b100]
     assert len(monomials(3, 1)) == math.comb(3, 1)
 
 
@@ -117,17 +117,15 @@ def test_cup_vanishes_exactly_on_overlap(a, b, c, d):
 def test_cup_vector_expands_termwise():
     # (1 x e1* + 1 x e2*) cup (e1* x 1) = e1* x e1* + e1* x e2* for d = 2
     d = 2
-    u = Gf2Vector(4, 0b0011)
-    v = Gf2Vector(4, 0b0100)
-    out = cup_vector(d, 1, u, 1, v)
+    out = cup_vector(d, 1, 0b0011, 1, 0b0100)
     index = kunneth_index(d, 2)
-    assert out.support() == (index[0b01, 0b01], index[0b01, 0b10])
+    assert out == 1 << index[0b01, 0b01] | 1 << index[0b01, 0b10]
 
 
 def test_cup_vector_cancels_mod2():
     d = 1
-    u = Gf2Vector(2, 0b01)  # 1 x e1*
-    assert cup_vector(d, 1, u, 1, u).is_zero
+    u = 0b01  # 1 x e1*
+    assert cup_vector(d, 1, u, 1, u) == 0
 
 
 # --- swap action ----------------------------------------------------------
@@ -199,5 +197,7 @@ def test_decomposition_validation():
 def test_monomial_degree_and_indices():
     m = Monomial(0b1011)
     assert m.degree == 3
-    assert m.indices() == (1, 2, 4)
-    assert Monomial(0).is_unit
+    assert tuple(bit_indices(m.mask)) == (0, 1, 3)  # cells 1, 2, 4
+    assert Monomial(0).degree == 0
+    with pytest.raises(ValueError):
+        Monomial(-1)
