@@ -59,6 +59,7 @@ from .torus import (
     kunneth_index,
     monomials,
     sigma_matrix,
+    swap_permutation,
     torus_closed_form,
     torus_module,
     total_dim,
@@ -113,6 +114,7 @@ __all__ = [
     "run_checks",
     "sigma_matrix",
     "sw_height",
+    "swap_permutation",
     "torus_closed_form",
     "torus_module",
     "total_dim",

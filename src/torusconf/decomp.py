@@ -5,6 +5,21 @@ Over F2 the group ring of an order-2 group is F2[x]/(x^2) with x = 1 + sigma,
 so the only indecomposables are the trivial module and the regular module,
 and the regular multiplicity of any involution equals rank(sigma + 1).
 
+Every module here is a permutation module V, whose basis the swap permutes,
+or its quotient V/K by a swap-stable subspace K. On V the image of sigma + 1
+is spanned by e_j + e_sigma(j), one vector per swapped pair {j, sigma(j)}:
+it is the set of swap-invariant vectors that vanish on the fixed
+coordinates, of dimension #pairs. On V/K the image is (im(sigma + 1) + K)/K,
+so
+
+    rank(sigma + 1 on V/K) = #pairs - dim(K intersect im(sigma + 1)).
+
+The intersection is the kernel on K of h(v) = (sigma + 1)v + (v restricted
+to the fixed coordinates); the two terms have disjoint supports, so h(v) = 0
+exactly when v is swap-invariant and vanishes on the fixed coordinates.
+Applying h to the reduced rows of K turns the intersection into one small
+rank. No n x n matrix is ever formed.
+
 The closed forms come in two flavours: the corrected count, which the brute
 force must match exactly, and the count as published, which in the odd case
 between degrees d and 2d carries a spurious -C(d, k)/2 and can fail to be an
@@ -16,19 +31,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import Gf2Matrix, rank
+from .gf2 import Gf2Matrix, SubspaceNotPreservedError, bit_indices, rank
 from .quotient import conf_module
 from .torus import Decomposition, Sigma2Module, binom, torus_closed_form
 
 
 def decompose(m: Sigma2Module) -> Decomposition:
-    """Multiplicities of trivial and regular summands of an involution module."""
-    n = m.dim
-    identity = Gf2Matrix.identity(n)
-    if m.sigma @ m.sigma != identity:
+    """Multiplicities of trivial and regular summands of an involution module.
+
+    Raises ValueError unless the swap is an involution, and
+    SubspaceNotPreservedError unless it maps the relation subspace of a
+    quotient module into itself.
+    """
+    perm = m.swap
+    n = len(perm)
+    if any(not 0 <= p < n or perm[p] != j for j, p in enumerate(perm)):
         raise ValueError("sigma is not an involution")
-    regular = rank(m.sigma + identity)
-    return Decomposition(n, n - 2 * regular, regular)
+    pairs = sum(1 for j, p in enumerate(perm) if j < p)
+    lost = 0
+    if m.presentation is not None:
+        q = m.presentation.quotient
+        images = []
+        for r in q.rows:
+            swapped = fixed = 0
+            for b in bit_indices(r):
+                p = perm[b]
+                swapped |= 1 << p
+                if p == b:
+                    fixed |= 1 << b
+            if q.reduce_bits(swapped):
+                raise SubspaceNotPreservedError(
+                    "swap does not stabilise the subspace; no induced quotient map"
+                )
+            images.append((swapped ^ r) | fixed)
+        lost = len(images) - rank(Gf2Matrix(len(images), n, tuple(images)))
+    regular = pairs - lost
+    return Decomposition(m.dim, m.dim - 2 * regular, regular)
 
 
 def conf_closed_form(d: int, i: int) -> Decomposition:

@@ -41,10 +41,6 @@ class Gf2Matrix:
                 raise ValueError("row bits fall outside ncols")
 
     @classmethod
-    def zero(cls, nrows: int, ncols: int) -> Gf2Matrix:
-        return cls(nrows, ncols, (0,) * nrows)
-
-    @classmethod
     def identity(cls, n: int) -> Gf2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 

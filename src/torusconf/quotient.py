@@ -5,19 +5,15 @@ T^d x (T^d minus a point), so restriction from the square is onto and its
 kernel is generated, in degree i with d <= i <= 2d, by the products of the
 degree-(i-d) left-factor monomials with one fixed degree-d relation vector.
 Quotienting the tensor basis by that kernel gives the configuration-space
-module together with its induced swap involution.
+module; the kernel is swap-stable, so the swap of the tensor basis descends
+to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import (
-    Gf2Matrix,
-    QuotientBasis,
-    induced_map_on_quotient,
-    quotient_structure,
-)
+from .gf2 import Gf2Matrix, QuotientBasis, quotient_structure
 from .torus import (
     Monomial,
     Sigma2Module,
@@ -27,7 +23,7 @@ from .torus import (
     kunneth_basis,
     kunneth_index,
     monomials,
-    sigma_matrix,
+    swap_permutation,
     torus_module,
     total_dim,
     zero_module,
@@ -143,10 +139,11 @@ def conf_module(d: int, i: int) -> Sigma2Module:
     if i < d:
         return torus_module(d, i)
     kp = kernel_generators(d, i)
-    sigma = induced_map_on_quotient(sigma_matrix(d, i), kp.quotient)
     basis = kunneth_basis(d, i)
     labels = tuple(basis[f] for f in kp.quotient.free_coords)
-    return Sigma2Module(kp.quotient.dim, labels, sigma, presentation=kp)
+    return Sigma2Module(
+        kp.quotient.dim, labels, swap_permutation(d, i), presentation=kp
+    )
 
 
 def fixed_element_x(d: int, i: int, m: Monomial) -> int:

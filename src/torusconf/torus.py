@@ -30,7 +30,7 @@ def binom(m: int, n: int) -> int:
     return comb(m, n)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Monomial:
     """A square-free exterior monomial, as the bit mask of its index set."""
 
@@ -45,7 +45,7 @@ class Monomial:
         return self.mask.bit_count()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class TensorClass:
     """A tensor-basis element: a pair of monomials (left factor, right factor)."""
 
@@ -137,8 +137,16 @@ def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
     return bits
 
 
+def swap_permutation(d: int, i: int) -> tuple[int, ...]:
+    """The swap on the degree-i tensor basis: entry j is the position of the
+    swapped class (right, left) of basis class j = (left, right)."""
+    index = kunneth_index(d, i)
+    return tuple(index[tc.right.mask, tc.left.mask] for tc in kunneth_basis(d, i))
+
+
 def sigma_matrix(d: int, i: int) -> Gf2Matrix:
-    """The swap involution on the degree-i tensor basis, as a permutation matrix."""
+    """The swap involution on the degree-i tensor basis, as a dense
+    permutation matrix: the oracle the tests hold swap_permutation to."""
     basis = kunneth_basis(d, i)
     index = kunneth_index(d, i)
     rows = [0] * len(basis)
@@ -164,28 +172,34 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class Sigma2Module:
-    """A finite F2-vector space with a designated involution.
+    """A finite F2-vector space with an involution induced by a permutation
+    of an ambient basis.
 
-    When the module is presented as an ambient tensor-basis space modulo a
-    stable subspace, ``presentation`` records the relation generators and
-    the quotient structure; ``sigma`` is then the induced involution on
-    quotient coordinates.
+    ``swap`` is that permutation of the ambient tensor basis (entry j is
+    the image of basis vector j). For a plain module the ambient
+    basis is the module's own basis. When the module is presented as the
+    ambient space modulo a swap-stable subspace, ``presentation`` records the
+    relation generators and the quotient structure, and the involution of
+    the module is the one ``swap`` induces on quotient coordinates.
     """
 
     dim: int
     basis_labels: tuple[TensorClass, ...]
-    sigma: Gf2Matrix
+    swap: tuple[int, ...]
     presentation: "KernelPresentation | None" = None
 
     def __post_init__(self) -> None:
-        if self.sigma.shape != (self.dim, self.dim):
-            raise ValueError("sigma must be a dim x dim matrix")
+        ambient = self.dim if self.presentation is None else (
+            self.presentation.quotient.ambient_dim
+        )
+        if len(self.swap) != ambient:
+            raise ValueError("swap must permute the ambient basis")
         if len(self.basis_labels) != self.dim:
             raise ValueError("one label per basis vector required")
 
 
 def zero_module() -> Sigma2Module:
-    return Sigma2Module(0, (), Gf2Matrix.zero(0, 0))
+    return Sigma2Module(0, (), ())
 
 
 def torus_module(d: int, i: int) -> Sigma2Module:
@@ -193,7 +207,7 @@ def torus_module(d: int, i: int) -> Sigma2Module:
     basis = kunneth_basis(d, i)
     if not basis:
         return zero_module()
-    return Sigma2Module(len(basis), basis, sigma_matrix(d, i))
+    return Sigma2Module(len(basis), basis, swap_permutation(d, i))
 
 
 def torus_closed_form(d: int, i: int) -> Decomposition:

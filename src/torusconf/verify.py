@@ -120,9 +120,7 @@ def _check_fixed_element(d: int, modules) -> CheckEntry:
     checked = 0
     for i in range(d, 2 * d):
         quo = modules[i].presentation.quotient
-        basis = kunneth_basis(d, i)
-        index = kunneth_index(d, i)
-        perm = [index[tc.swap().key] for tc in basis]
+        perm = modules[i].swap
         for m in monomials(d, i - d):
             x = fixed_element_x(d, i, m)
             rep = quo.reduce_bits(x)

@@ -159,9 +159,10 @@ def test_check_caps_dmax(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the capped sweep must not start")
 
-    # a sweep past the cap does not fit in memory, so never let one run here
+    # a sweep past the cap has not been measured to fit in memory, so never
+    # let one run here
     monkeypatch.setattr(cli, "run_checks", refuse)
-    for dmax in ("10", "11"):
+    for dmax in ("11", "12"):
         code, _, err = run_cli(capsys, "check", "--dmax", dmax)
         assert code == 2
         assert "--force" in err

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torusconf.decomp import (
     closed_form_report,
@@ -9,25 +11,65 @@ from torusconf.decomp import (
     published_closed_form,
     reduced_table,
 )
-from torusconf.gf2 import Gf2Matrix
-from torusconf.quotient import conf_module
-from torusconf.torus import Decomposition, Sigma2Module, TensorClass, Monomial
+from torusconf.gf2 import (
+    Gf2Matrix,
+    SubspaceNotPreservedError,
+    bit_indices,
+    induced_map_on_quotient,
+    quotient_structure,
+    rank,
+)
+from torusconf.quotient import KernelPresentation, conf_module
+from torusconf.torus import (
+    Decomposition,
+    Monomial,
+    Sigma2Module,
+    TensorClass,
+    sigma_matrix,
+    torus_module,
+)
 
 
-def plain_module(sigma_rows, ncols):
-    n = ncols
-    labels = tuple(TensorClass(Monomial(0), Monomial(0)) for _ in range(n))
-    return Sigma2Module(n, labels, Gf2Matrix(n, n, tuple(sigma_rows)))
+def module(perm, relations=None):
+    """A module on len(perm) coordinates swapped by ``perm``, modulo the span
+    of ``relations`` when given."""
+    n = len(perm)
+    pres = None
+    dim = n
+    if relations is not None:
+        pres = KernelPresentation(0, 0, tuple(relations), quotient_structure(n, relations))
+        dim = pres.quotient.dim
+    labels = (TensorClass(Monomial(0), Monomial(0)),) * dim
+    return Sigma2Module(dim, labels, tuple(perm), presentation=pres)
+
+
+def permutation_matrix(perm):
+    rows = [0] * len(perm)
+    for j, p in enumerate(perm):
+        rows[p] |= 1 << j
+    return Gf2Matrix(len(perm), len(perm), tuple(rows))
+
+
+def dense_decompose(sigma, quotient=None):
+    """The dense oracle: induce the swap matrix on the quotient, check that
+    it squares to the identity and read the regular count off rank(sigma + I)."""
+    if quotient is not None:
+        sigma = induced_map_on_quotient(sigma, quotient)
+    n = sigma.nrows
+    identity = Gf2Matrix.identity(n)
+    assert sigma @ sigma == identity
+    regular = rank(sigma + identity)
+    return Decomposition(n, n - 2 * regular, regular)
 
 
 # --- decompose ----------------------------------------------------------------
 
 def test_decompose_trivial_line():
-    assert decompose(plain_module([0b1], 1)) == Decomposition(1, 1, 0)
+    assert decompose(module([0])) == Decomposition(1, 1, 0)
 
 
 def test_decompose_swap_pair():
-    assert decompose(plain_module([0b10, 0b01], 2)) == Decomposition(2, 0, 1)
+    assert decompose(module([1, 0])) == Decomposition(2, 0, 1)
 
 
 def test_decompose_conf_2_2():
@@ -35,8 +77,48 @@ def test_decompose_conf_2_2():
 
 
 def test_decompose_rejects_non_involution():
-    with pytest.raises(ValueError):
-        decompose(plain_module([0b10, 0b00], 2))  # nilpotent, not an involution
+    for perm in ([1, 2, 0], [0, 2]):  # a 3-cycle; an entry out of range
+        with pytest.raises(ValueError, match="not an involution"):
+            decompose(module(perm))
+
+
+def test_decompose_rejects_unstable_kernel():
+    # the swap sends the relation e0 to e1, which is not a relation
+    with pytest.raises(SubspaceNotPreservedError):
+        decompose(module([1, 0], [0b01]))
+
+
+def test_decompose_matches_dense_oracle_exhaustive():
+    for d in range(8):
+        for i in range(2 * d + 1):
+            sigma = sigma_matrix(d, i)
+            assert decompose(torus_module(d, i)) == dense_decompose(sigma), (d, i)
+            if i < 2 * d:
+                m = conf_module(d, i)
+                quotient = None if m.presentation is None else m.presentation.quotient
+                assert decompose(m) == dense_decompose(sigma, quotient), (d, i)
+
+
+@st.composite
+def involutions_with_stable_subspaces(draw):
+    n = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(n)))
+    perm = list(range(n))
+    for t in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * t], order[2 * t + 1]
+        perm[a], perm[b] = b, a
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=5))
+    swapped = [sum(1 << perm[b] for b in bit_indices(v)) for v in masks]
+    return perm, masks + swapped
+
+
+@given(involutions_with_stable_subspaces())
+def test_decompose_matches_dense_oracle_random(case):
+    perm, relations = case
+    m = module(perm, relations)
+    sigma = permutation_matrix(perm)
+    assert decompose(m) == dense_decompose(sigma, m.presentation.quotient)
+    assert decompose(module(perm)) == dense_decompose(sigma)
 
 
 # --- closed forms ---------------------------------------------------------------

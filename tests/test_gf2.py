@@ -28,7 +28,7 @@ def mat(rows, ncols):
 # --- rank ---------------------------------------------------------------
 
 def test_rank_zero_matrix():
-    assert rank(Gf2Matrix.zero(3, 3)) == 0
+    assert rank(mat([0, 0, 0], 3)) == 0
 
 
 def test_rank_identity():

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torusconf.decomp import decompose
-from torusconf.gf2 import Gf2Matrix, bit_indices
+from torusconf.gf2 import Gf2Matrix, bit_indices, induced_map_on_quotient
 from torusconf.quotient import (
     conf_dim,
     conf_module,
@@ -19,6 +19,7 @@ from torusconf.torus import (
     kunneth_index,
     monomials,
     sigma_matrix,
+    swap_permutation,
     total_dim,
 )
 
@@ -233,7 +234,7 @@ def test_conf_module_below_d_is_torus():
     m = conf_module(3, 2)
     assert m.presentation is None
     assert m.dim == total_dim(3, 2)
-    assert m.sigma == sigma_matrix(3, 2)
+    assert m.swap == swap_permutation(3, 2)
 
 
 def test_conf_dim_formula():
@@ -250,10 +251,14 @@ def test_conf_module_of_point_vanishes():
 
 
 def test_conf_module_sigma_is_involution():
+    # the dense oracle: the swap matrix induced on quotient coordinates
     for d in range(1, 5):
         for i in range(2 * d):
-            s = conf_module(d, i).sigma
-            assert s @ s == Gf2Matrix.identity(s.nrows)
+            m = conf_module(d, i)
+            s = sigma_matrix(d, i)
+            if m.presentation is not None:
+                s = induced_map_on_quotient(s, m.presentation.quotient)
+            assert s @ s == Gf2Matrix.identity(m.dim)
 
 
 def test_quotient_labels_match_free_coords():

@@ -17,6 +17,7 @@ from torusconf.torus import (
     kunneth_index,
     monomials,
     sigma_matrix,
+    swap_permutation,
     torus_closed_form,
     torus_module,
     total_dim,
@@ -145,6 +146,9 @@ def test_sigma_is_permutation_involution():
             n = s.nrows
             assert all(r.bit_count() == 1 for r in s.rows)
             assert s @ s == Gf2Matrix.identity(n)
+            # swap_permutation is the same swap: row perm[j] holds bit j
+            perm = swap_permutation(d, i)
+            assert all(s.rows[p] == 1 << j for j, p in enumerate(perm))
 
 
 def test_sigma_fixed_point_count():
