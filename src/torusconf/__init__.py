@@ -49,9 +49,7 @@ from .quotient import (
 )
 from .torus import (
     Decomposition,
-    Monomial,
     Sigma2Module,
-    TensorClass,
     binom,
     cup,
     cup_vector,
@@ -76,7 +74,6 @@ __all__ = [
     "Decomposition",
     "Gf2Matrix",
     "KernelPresentation",
-    "Monomial",
     "PhiStar",
     "QuotientBasis",
     "SSPage",
@@ -84,7 +81,6 @@ __all__ = [
     "SubspaceNotPreservedError",
     "SuiteResult",
     "SwHeight",
-    "TensorClass",
     "UconfModule",
     "attribute_rank_drops",
     "binom",

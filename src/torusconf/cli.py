@@ -23,8 +23,12 @@ from .torus import Decomposition
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-# check --dmax 10 peaks at about 410 MB of RSS; d = 11 has not been measured.
-DMAX_CAP = 10
+# check --dmax 11 took 18 s and peaked at 205 MB of RSS; d = 12 has not been
+# measured.
+DMAX_CAP = 11
+# ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
+# is far above the default 2d + 2 for every d up to DMAX_CAP.
+PMAX_CAP = 1000
 
 
 def _nonneg(text: str) -> int:
@@ -181,6 +185,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_ss(args: argparse.Namespace) -> int:
+    if args.pmax is not None and args.pmax > PMAX_CAP:
+        print(f"error: pmax {args.pmax} exceeds the cap {PMAX_CAP}", file=sys.stderr)
+        return 2
     pmax = args.pmax if args.pmax is not None else 2 * args.d + 2
     try:
         if args.page == "2":

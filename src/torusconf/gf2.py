@@ -25,6 +25,16 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Yield every submask of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 @dataclass(frozen=True)
 class Gf2Matrix:
     """A dense GF(2) matrix; column j holds the image of basis vector j."""
@@ -124,8 +134,8 @@ class QuotientBasis:
     """An ambient space modulo a subspace, with canonical coset representatives.
 
     ``rows`` is the reduced row-echelon basis of the subspace, ordered by
-    pivot; ``free_coords`` (the pivot-free coordinates) index a basis of the
-    quotient. ``reduce_bits`` sends any ambient vector to the unique coset
+    pivot; the pivot-free coordinates index a basis of the quotient.
+    ``reduce_bits`` sends any ambient vector to the unique coset
     representative supported on the free coordinates, so reduce_bits(v) == 0
     exactly when v lies in the subspace.
     """
@@ -133,11 +143,16 @@ class QuotientBasis:
     ambient_dim: int
     rows: tuple[int, ...]
     pivots: tuple[int, ...]
-    free_coords: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.free_coords)
+        return self.ambient_dim - len(self.pivots)
+
+    @cached_property
+    def free_coords(self) -> tuple[int, ...]:
+        """The pivot-free coordinates, in increasing order."""
+        mask = self._pivot_mask
+        return tuple(c for c in range(self.ambient_dim) if not (mask >> c) & 1)
 
     @cached_property
     def _pivot_mask(self) -> int:
@@ -174,9 +189,7 @@ def quotient_structure(ambient_dim: int, subspace: Iterable[int]) -> QuotientBas
             raise ValueError("subspace vector has bits outside the ambient space")
     reduced = _rref(masks)
     pivots = tuple(sorted(reduced))
-    pivot_set = set(pivots)
-    free = tuple(c for c in range(ambient_dim) if c not in pivot_set)
-    return QuotientBasis(ambient_dim, tuple(reduced[p] for p in pivots), pivots, free)
+    return QuotientBasis(ambient_dim, tuple(reduced[p] for p in pivots), pivots)
 
 
 def induced_map_on_quotient(m: Gf2Matrix, q: QuotientBasis) -> Gf2Matrix:

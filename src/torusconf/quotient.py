@@ -12,14 +12,12 @@ to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .gf2 import Gf2Matrix, QuotientBasis, quotient_structure
+from .gf2 import Gf2Matrix, QuotientBasis, quotient_structure, submasks
 from .torus import (
-    Monomial,
     Sigma2Module,
-    TensorClass,
     binom,
-    cup,
     kunneth_basis,
     kunneth_index,
     monomials,
@@ -48,19 +46,13 @@ def _phi_star_matrix(d: int, i: int) -> Gf2Matrix:
     # each right factor e_t* maps to e_t* x 1 + 1 x e_t*, so the image is the
     # sum over submasks J of T of (S u (T \ J), J), dropping repeated indices.
     basis = kunneth_basis(d, i)
-    index = kunneth_index(d, i)
     rows = [0] * len(basis)
-    for j, tc in enumerate(basis):
-        smask, tmask = tc.key
+    for j, (smask, tmask) in enumerate(basis):
         colbit = 1 << j
-        sub = tmask
-        while True:
+        for sub in submasks(tmask):
             moved = tmask ^ sub
             if not smask & moved:
-                rows[index[smask | moved, sub]] ^= colbit
-            if sub == 0:
-                break
-            sub = (sub - 1) & tmask
+                rows[kunneth_index(d, i, smask | moved, sub)] ^= colbit
     return Gf2Matrix(len(basis), len(basis), tuple(rows))
 
 
@@ -71,13 +63,12 @@ def phi_star_build(d: int) -> PhiStar:
     return PhiStar(d, tuple(_phi_star_matrix(d, i) for i in range(2 * d + 1)))
 
 
-def _top_terms(d: int) -> tuple[TensorClass, ...]:
-    """Expansion of the product over j of (e_j* x 1 + 1 x e_j*): one term
-    (complement of J) x J per subset J, 2^d terms in all."""
-    full = (1 << d) - 1
-    return tuple(
-        TensorClass(Monomial(full ^ jmask), Monomial(jmask)) for jmask in range(full + 1)
-    )
+def _relation_terms(d: int, m: int) -> Iterator[tuple[int, int]]:
+    """The terms (m u (free \\ A), m u A) of the kernel generator of the
+    monomial ``m``, one per submask A of free = full \\ m."""
+    free = ((1 << d) - 1) ^ m
+    for a in submasks(free):
+        yield m | (free ^ a), m | a
 
 
 @dataclass(frozen=True)
@@ -98,22 +89,19 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
     """The C(d, i-d) kernel generators in degree i (none below degree d).
 
     The one generator in degree d is the top relation, the shear image of
-    1 x (top monomial). Each generator is the cup product of a left-factor
-    monomial of degree i-d with the top relation; terms with a repeated
-    index drop out, leaving 2^(2d-i) terms per generator.
+    1 x (top monomial): the product over j of (e_j* x 1 + 1 x e_j*), one
+    term (complement of J) x J per subset J. Each generator is the cup
+    product of a left-factor monomial m of degree i-d with the top relation;
+    terms with a repeated index drop out, leaving the 2^(2d-i) terms whose
+    masks meet exactly in m.
     """
     ambient = total_dim(d, i)
     gens: list[int] = []
     if d <= i <= 2 * d:
-        top = _top_terms(d)
-        index = kunneth_index(d, i)
         for m in monomials(d, i - d):
-            left = TensorClass(m, Monomial(0))
             bits = 0
-            for term in top:
-                c = cup(left, term)
-                if c is not None:
-                    bits ^= 1 << index[c.key]
+            for left, right in _relation_terms(d, m):
+                bits |= 1 << kunneth_index(d, i, left, right)
             gens.append(bits)
     return KernelPresentation(d, i, tuple(gens), quotient_structure(ambient, gens))
 
@@ -139,38 +127,28 @@ def conf_module(d: int, i: int) -> Sigma2Module:
     if i < d:
         return torus_module(d, i)
     kp = kernel_generators(d, i)
-    basis = kunneth_basis(d, i)
-    labels = tuple(basis[f] for f in kp.quotient.free_coords)
-    return Sigma2Module(
-        kp.quotient.dim, labels, swap_permutation(d, i), presentation=kp
-    )
+    return Sigma2Module(kp.quotient.dim, swap_permutation(d, i), presentation=kp)
 
 
-def fixed_element_x(d: int, i: int, m: Monomial) -> int:
+def fixed_element_x(d: int, i: int, m: int) -> int:
     """A representative whose coset is swap-fixed yet nonzero.
 
-    Take the kernel generator attached to ``m`` and keep one term from each
-    swapped pair: all terms whose left degree exceeds half the free weight,
-    plus, when the free weight 2d-i is even, the middle-layer terms whose
-    right free part is the smaller mask of its pair.
+    Take the kernel generator attached to the monomial mask ``m`` and keep
+    one term from each swapped pair: all terms whose left degree exceeds
+    half the free weight, plus, when the free weight 2d-i is even, the
+    middle-layer terms whose right free part is the smaller mask of its pair.
     """
     if not d <= i < 2 * d:
         raise ValueError("degree must satisfy d <= i < 2d")
     full = (1 << d) - 1
-    if m.mask & ~full or m.degree != i - d:
+    # a negative mask has bits outside ``full`` too
+    if m & ~full or m.bit_count() != i - d:
         raise ValueError(f"expected a degree-{i - d} monomial inside 1..{d}")
-    free = full ^ m.mask
+    free = full ^ m
     n = 2 * d - i
-    index = kunneth_index(d, i)
     bits = 0
-    sub = free
-    while True:
-        # Term for right free part A: (m u (free \ A)) x (m u A).
-        a = sub
-        take = 2 * a.bit_count() < n or (2 * a.bit_count() == n and a < free ^ a)
-        if take:
-            bits |= 1 << index[m.mask | (free ^ a), m.mask | a]
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
+    for left, right in _relation_terms(d, m):
+        a = right ^ m
+        if 2 * a.bit_count() < n or (2 * a.bit_count() == n and a < free ^ a):
+            bits |= 1 << kunneth_index(d, i, left, right)
     return bits

@@ -2,12 +2,19 @@
 
 Degree-k classes of the d-torus are square-free exterior monomials in the
 duals of the d one-cells, stored as d-bit masks (index j <-> bit j-1).
-The square carries the tensor basis of pairs of monomials, and the
-coordinate swap acts by exchanging the two tensor factors.
+The square carries the tensor basis of pairs (left mask, right mask) of
+monomials, and the coordinate swap acts by exchanging the two masks.
 
 Basis order is fixed once and for all: tensor classes of a given degree are
 sorted by (left mask, right mask) read as integers. Every matrix, vector
-and table in the package is written in that order.
+and table in the package is written in that order. The position of the
+degree-i class (S, T) is therefore off_i[S] + colex(T), where
+
+    colex(T) = sum over j of C(p_j, j), for the set bits p_1 < p_2 < ... of T,
+
+is the position of T among the masks of its weight in increasing integer
+order, and off_i[S], the sum of C(d, i - |S'|) over all masks S' < S, counts
+the classes whose left mask is smaller than S.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .gf2 import Gf2Matrix, bit_indices
 
@@ -30,38 +37,9 @@ def binom(m: int, n: int) -> int:
     return comb(m, n)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Monomial:
-    """A square-free exterior monomial, as the bit mask of its index set."""
-
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise ValueError("negative mask")
-
-    @property
-    def degree(self) -> int:
-        return self.mask.bit_count()
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class TensorClass:
-    """A tensor-basis element: a pair of monomials (left factor, right factor)."""
-
-    left: Monomial
-    right: Monomial
-
-    def swap(self) -> TensorClass:
-        return TensorClass(self.right, self.left)
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return self.left.mask, self.right.mask
-
-
-def _weight_masks(d: int, k: int) -> tuple[int, ...]:
-    """All d-bit masks of popcount k in increasing integer order."""
+@lru_cache(maxsize=None)
+def monomials(d: int, k: int) -> tuple[int, ...]:
+    """The masks of the C(d, k) degree-k monomials, in increasing order."""
     if k < 0 or k > d:
         return ()
     if k == 0:
@@ -77,30 +55,47 @@ def _weight_masks(d: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def monomials(d: int, k: int) -> tuple[Monomial, ...]:
-    """The C(d, k) degree-k monomials in canonical (mask-ascending) order."""
-    return tuple(Monomial(m) for m in _weight_masks(d, k))
+def colex(mask: int) -> int:
+    """Position of ``mask`` among the masks of its weight, in increasing order."""
+    return sum(comb(p, j) for j, p in enumerate(bit_indices(mask), 1))
 
 
 @lru_cache(maxsize=None)
-def kunneth_basis(d: int, i: int) -> tuple[TensorClass, ...]:
-    """All degree-i tensor classes over T^d x T^d in canonical order."""
-    if d < 0 or i < 0 or i > 2 * d:
-        return ()
+def _offsets(d: int, i: int) -> tuple[int, ...]:
+    """Entry S is the position of the first degree-i class with left mask S."""
+    sizes = [binom(d, i - k) for k in range(d + 1)]
     out = []
+    total = 0
     for smask in range(1 << d):
-        kt = i - smask.bit_count()
-        if 0 <= kt <= d:
-            left = Monomial(smask)
-            for tmask in _weight_masks(d, kt):
-                out.append(TensorClass(left, Monomial(tmask)))
+        out.append(total)
+        total += sizes[smask.bit_count()]
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def kunneth_index(d: int, i: int) -> Mapping[tuple[int, int], int]:
-    """Map (left mask, right mask) -> position in kunneth_basis(d, i)."""
-    return {tc.key: j for j, tc in enumerate(kunneth_basis(d, i))}
+def kunneth_basis(d: int, i: int) -> tuple[tuple[int, int], ...]:
+    """All degree-i tensor classes (left mask, right mask) in canonical order."""
+    if d < 0:
+        return ()
+    return tuple(
+        (smask, tmask)
+        for smask in range(1 << d)
+        for tmask in monomials(d, i - smask.bit_count())
+    )
+
+
+def kunneth_index(d: int, i: int, left: int, right: int) -> int:
+    """Position of the class (left, right) in kunneth_basis(d, i).
+
+    Raises ValueError unless both masks lie inside 1..d and their degrees
+    add up to i.
+    """
+    top = 1 << d
+    if not (0 <= left < top and 0 <= right < top) or (
+        left.bit_count() + right.bit_count() != i
+    ):
+        raise ValueError(f"({left}, {right}) is not a degree-{i} class for d={d}")
+    return _offsets(d, i)[left] + colex(right)
 
 
 def total_dim(d: int, i: int) -> int:
@@ -108,15 +103,13 @@ def total_dim(d: int, i: int) -> int:
     return binom(2 * d, i)
 
 
-def cup(a: TensorClass, b: TensorClass) -> TensorClass | None:
+def cup(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None:
     """Cup product of basis classes: componentwise union, or None when a
     one-cell dual repeats on either side (its square vanishes)."""
-    if a.left.mask & b.left.mask or a.right.mask & b.right.mask:
+    (sa, ta), (sb, tb) = a, b
+    if sa & sb or ta & tb:
         return None
-    return TensorClass(
-        Monomial(a.left.mask | b.left.mask),
-        Monomial(a.right.mask | b.right.mask),
-    )
+    return sa | sb, ta | tb
 
 
 def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
@@ -126,33 +119,42 @@ def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
     basis_b = kunneth_basis(d, deg_b)
     if a < 0 or a >> len(basis_a) or b < 0 or b >> len(basis_b):
         raise ValueError("vector does not match the stated degree")
-    index = kunneth_index(d, deg_a + deg_b)
     bits = 0
     for ia in bit_indices(a):
         ta = basis_a[ia]
         for ib in bit_indices(b):
             c = cup(ta, basis_b[ib])
             if c is not None:
-                bits ^= 1 << index[c.key]
+                bits ^= 1 << kunneth_index(d, deg_a + deg_b, *c)
     return bits
 
 
 def swap_permutation(d: int, i: int) -> tuple[int, ...]:
     """The swap on the degree-i tensor basis: entry j is the position of the
     swapped class (right, left) of basis class j = (left, right)."""
-    index = kunneth_index(d, i)
-    return tuple(index[tc.right.mask, tc.left.mask] for tc in kunneth_basis(d, i))
+    off = _offsets(d, i)
+    perm: list[int] = []
+    for smask in range(1 << d):
+        shift = colex(smask)
+        perm.extend(off[t] + shift for t in monomials(d, i - smask.bit_count()))
+    return tuple(perm)
 
 
 def sigma_matrix(d: int, i: int) -> Gf2Matrix:
     """The swap involution on the degree-i tensor basis, as a dense
-    permutation matrix: the oracle the tests hold swap_permutation to."""
-    basis = kunneth_basis(d, i)
-    index = kunneth_index(d, i)
-    rows = [0] * len(basis)
-    for j, tc in enumerate(basis):
-        rows[index[tc.swap().key]] |= 1 << j
-    return Gf2Matrix(len(basis), len(basis), tuple(rows))
+    permutation matrix: the oracle the tests hold swap_permutation to.
+
+    Its basis order comes from sorting every pair of masks of total degree
+    i, not from kunneth_index."""
+    masks = range(1 << d)
+    pairs = sorted(
+        (s, t) for s in masks for t in masks if s.bit_count() + t.bit_count() == i
+    )
+    index = {pair: j for j, pair in enumerate(pairs)}
+    rows = [0] * len(pairs)
+    for j, (s, t) in enumerate(pairs):
+        rows[index[t, s]] |= 1 << j
+    return Gf2Matrix(len(pairs), len(pairs), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,6 @@ class Sigma2Module:
     """
 
     dim: int
-    basis_labels: tuple[TensorClass, ...]
     swap: tuple[int, ...]
     presentation: "KernelPresentation | None" = None
 
@@ -194,20 +195,18 @@ class Sigma2Module:
         )
         if len(self.swap) != ambient:
             raise ValueError("swap must permute the ambient basis")
-        if len(self.basis_labels) != self.dim:
-            raise ValueError("one label per basis vector required")
 
 
 def zero_module() -> Sigma2Module:
-    return Sigma2Module(0, (), ())
+    return Sigma2Module(0, ())
 
 
 def torus_module(d: int, i: int) -> Sigma2Module:
     """H^i of the square of T^d with the swap involution, on the tensor basis."""
-    basis = kunneth_basis(d, i)
-    if not basis:
+    n = total_dim(d, i)
+    if n == 0:
         return zero_module()
-    return Sigma2Module(len(basis), basis, swap_permutation(d, i))
+    return Sigma2Module(n, swap_permutation(d, i))
 
 
 def torus_closed_form(d: int, i: int) -> Decomposition:

@@ -127,7 +127,7 @@ def _check_fixed_element(d: int, modules) -> CheckEntry:
             if rep == 0:
                 return CheckEntry(
                     f"fixed-element d={d}", False,
-                    f"representative dies in degree {i} at mask {m.mask}",
+                    f"representative dies in degree {i} at mask {m}",
                 )
             swapped = 0
             for b in bit_indices(x):
@@ -135,7 +135,7 @@ def _check_fixed_element(d: int, modules) -> CheckEntry:
             if quo.reduce_bits(swapped) != rep:
                 return CheckEntry(
                     f"fixed-element d={d}", False,
-                    f"coset not swap-fixed in degree {i} at mask {m.mask}",
+                    f"coset not swap-fixed in degree {i} at mask {m}",
                 )
             checked += 1
     return CheckEntry(
@@ -150,7 +150,7 @@ def _multiplicative_on(d, transposes, a_deg, a_idx, b_deg, b_idx) -> bool:
     c = cup(a, b)
     if c is None:
         return True
-    lhs = transposes[a_deg + b_deg].rows[kunneth_index(d, a_deg + b_deg)[c.key]]
+    lhs = transposes[a_deg + b_deg].rows[kunneth_index(d, a_deg + b_deg, *c)]
     rhs = cup_vector(
         d, a_deg, transposes[a_deg].rows[a_idx], b_deg, transposes[b_deg].rows[b_idx]
     )

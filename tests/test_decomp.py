@@ -22,9 +22,7 @@ from torusconf.gf2 import (
 from torusconf.quotient import KernelPresentation, conf_module
 from torusconf.torus import (
     Decomposition,
-    Monomial,
     Sigma2Module,
-    TensorClass,
     sigma_matrix,
     torus_module,
 )
@@ -39,8 +37,7 @@ def module(perm, relations=None):
     if relations is not None:
         pres = KernelPresentation(0, 0, tuple(relations), quotient_structure(n, relations))
         dim = pres.quotient.dim
-    labels = (TensorClass(Monomial(0), Monomial(0)),) * dim
-    return Sigma2Module(dim, labels, tuple(perm), presentation=pres)
+    return Sigma2Module(dim, tuple(perm), presentation=pres)
 
 
 def permutation_matrix(perm):

@@ -11,8 +11,8 @@ from torusconf.quotient import (
     kernel_generators,
     phi_star_build,
 )
+from torusconf.gf2 import submasks
 from torusconf.torus import (
-    Monomial,
     binom,
     cup_vector,
     kunneth_basis,
@@ -30,14 +30,12 @@ def test_phi_star_degree_one_rules():
     for d in (1, 2, 3):
         m = phi_star_build(d).in_degree(1)
         basis = kunneth_basis(d, 1)
-        index = kunneth_index(d, 1)
-        for j, t in enumerate(basis):
+        for j, (_, s) in enumerate(basis):
             image = {b for b in range(len(basis)) if (m.rows[b] >> j) & 1}
-            if t.right.mask == 0:  # e_s* x 1 is fixed
+            if s == 0:  # e_s* x 1 is fixed
                 assert image == {j}
             else:  # 1 x e_t* picks up the matching left factor
-                s = t.right.mask
-                assert image == {index[s, 0], index[0, s]}
+                assert image == {kunneth_index(d, 1, s, 0), kunneth_index(d, 1, 0, s)}
 
 
 def test_phi_star_is_involution_small():
@@ -60,14 +58,10 @@ def test_phi_star_degree_zero_and_range():
 def phi_terms(d, s, t):
     """Classwise image of the shear pullback as a set of (left, right) masks."""
     out = set()
-    sub = t
-    while True:
+    for sub in submasks(t):
         moved = t ^ sub
         if not s & moved:
             out.add((s | moved, sub))
-        if sub == 0:
-            break
-        sub = (sub - 1) & t
     return out
 
 
@@ -99,8 +93,8 @@ def test_phi_star_matrix_agrees_with_classwise_expansion():
         t = m.transpose()
         basis = kunneth_basis(d, i)
         for j in rng.sample(range(len(basis)), min(25, len(basis))):
-            expected = phi_terms(d, *basis[j].key)
-            got = {basis[b].key for b in bit_indices(t.rows[j])}
+            expected = phi_terms(d, *basis[j])
+            got = {basis[b] for b in bit_indices(t.rows[j])}
             assert got == expected
 
 
@@ -137,8 +131,8 @@ def test_top_relation_d1():
 
 
 def test_top_relation_d2_terms():
-    index = kunneth_index(2, 2)
-    expected = {index[0b11, 0b00], index[0b01, 0b10], index[0b10, 0b01], index[0b00, 0b11]}
+    terms = ((0b11, 0b00), (0b01, 0b10), (0b10, 0b01), (0b00, 0b11))
+    expected = {kunneth_index(2, 2, s, t) for s, t in terms}
     assert set(bit_indices(top_relation(2))) == expected
 
 
@@ -147,7 +141,7 @@ def test_top_relation_weight_and_symmetry():
         rel = top_relation(d)
         assert rel.bit_count() == 1 << d
         basis = kunneth_basis(d, d)
-        terms = {basis[b].key for b in bit_indices(rel)}
+        terms = {basis[b] for b in bit_indices(rel)}
         assert {(r, l) for l, r in terms} == terms  # swap-invariant term set
 
 
@@ -184,18 +178,13 @@ def alt_generator(d, i, m):
     """The same relation expanded the long way: sum the hatted products over
     the free indices first, then multiply by the diagonal class of m."""
     full = (1 << d) - 1
-    free = full ^ m.mask
+    free = full ^ m
     nfree = 2 * d - i
-    index = kunneth_index(d, nfree)
     bits = 0
-    sub = free
-    while True:
-        bits |= 1 << index[free ^ sub, sub]
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
+    for sub in submasks(free):
+        bits |= 1 << kunneth_index(d, nfree, free ^ sub, sub)
     diag_deg = 2 * (i - d)
-    diag_idx = kunneth_index(d, diag_deg)[m.mask, m.mask]
+    diag_idx = kunneth_index(d, diag_deg, m, m)
     return cup_vector(d, nfree, bits, diag_deg, 1 << diag_idx)
 
 
@@ -212,12 +201,11 @@ def test_kernel_span_is_swap_stable():
         for i in range(d, 2 * d):
             kp = kernel_generators(d, i)
             basis = kunneth_basis(d, i)
-            index = kunneth_index(d, i)
             for g in kp.generators:
                 swapped = 0
                 for b in bit_indices(g):
-                    l, r = basis[b].key
-                    swapped |= 1 << index[r, l]
+                    l, r = basis[b]
+                    swapped |= 1 << kunneth_index(d, i, r, l)
                 assert kp.quotient.reduce_bits(swapped) == 0
 
 
@@ -261,30 +249,25 @@ def test_conf_module_sigma_is_involution():
             assert s @ s == Gf2Matrix.identity(m.dim)
 
 
-def test_quotient_labels_match_free_coords():
-    m = conf_module(2, 2)
-    pres = m.presentation
-    assert pres is not None
-    basis = kunneth_basis(2, 2)
-    assert m.basis_labels == tuple(basis[f] for f in pres.quotient.free_coords)
-
-
 # --- the swap-fixed representative ---------------------------------------------
 
 def test_fixed_element_d2_top():
     # half of the four-term relation: the left-heavy term plus one middle term
-    x = fixed_element_x(2, 2, Monomial(0))
-    index = kunneth_index(2, 2)
-    assert set(bit_indices(x)) == {index[0b11, 0b00], index[0b10, 0b01]}
+    x = fixed_element_x(2, 2, 0)
+    assert set(bit_indices(x)) == {
+        kunneth_index(2, 2, 0b11, 0b00), kunneth_index(2, 2, 0b10, 0b01)
+    }
 
 
 def test_fixed_element_rejects_bad_input():
     with pytest.raises(ValueError):
-        fixed_element_x(2, 4, Monomial(0b11))  # i = 2d not allowed
+        fixed_element_x(2, 4, 0b11)  # i = 2d not allowed
     with pytest.raises(ValueError):
-        fixed_element_x(2, 3, Monomial(0))  # degree must be i - d
+        fixed_element_x(2, 3, 0)  # degree must be i - d
     with pytest.raises(ValueError):
-        fixed_element_x(2, 3, Monomial(0b100))  # index outside 1..d
+        fixed_element_x(2, 3, 0b100)  # index outside 1..d
+    with pytest.raises(ValueError):
+        fixed_element_x(2, 3, -1)  # negative mask
 
 
 @given(st.integers(1, 5), st.data())

@@ -5,11 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torusconf.decomp import decompose
-from torusconf.gf2 import Gf2Matrix, bit_indices
+from torusconf.gf2 import Gf2Matrix
 from torusconf.torus import (
     Decomposition,
-    Monomial,
-    TensorClass,
     binom,
     cup,
     cup_vector,
@@ -24,18 +22,23 @@ from torusconf.torus import (
 )
 
 
-def tc(left, right):
-    return TensorClass(Monomial(left), Monomial(right))
+def sorted_basis(d, i):
+    """The oracle basis order: every (left, right) pair of masks of total
+    degree i, sorted as integer pairs."""
+    masks = range(1 << d)
+    return sorted(
+        (s, t) for s in masks for t in masks if s.bit_count() + t.bit_count() == i
+    )
 
 
 # --- monomial enumeration -------------------------------------------------
 
 def test_monomials_degree_zero():
-    assert monomials(3, 0) == (Monomial(0),)
+    assert monomials(3, 0) == (0,)
 
 
 def test_monomials_degree_one():
-    assert [m.mask for m in monomials(3, 1)] == [0b001, 0b010, 0b100]
+    assert monomials(3, 1) == (0b001, 0b010, 0b100)
     assert len(monomials(3, 1)) == math.comb(3, 1)
 
 
@@ -46,7 +49,7 @@ def test_monomials_above_dimension_empty():
 def test_monomials_mask_ascending():
     for d in range(6):
         for k in range(d + 1):
-            masks = [m.mask for m in monomials(d, k)]
+            masks = list(monomials(d, k))
             assert masks == sorted(masks)
             assert len(masks) == math.comb(d, k)
 
@@ -54,7 +57,7 @@ def test_monomials_mask_ascending():
 # --- tensor basis ---------------------------------------------------------
 
 def test_kunneth_smallest_case():
-    assert kunneth_basis(1, 1) == (tc(0b0, 0b1), tc(0b1, 0b0))
+    assert kunneth_basis(1, 1) == ((0b0, 0b1), (0b1, 0b0))
 
 
 def test_kunneth_counts():
@@ -69,26 +72,38 @@ def test_kunneth_count_formula():
 
 
 def test_kunneth_canonical_order():
-    for d in range(5):
+    # the basis, the arithmetic rank and the swap against the sorted oracle
+    for d in range(8):
         for i in range(2 * d + 1):
-            keys = [t.key for t in kunneth_basis(d, i)]
-            assert keys == sorted(keys)
-            index = kunneth_index(d, i)
-            assert all(index[k] == j for j, k in enumerate(keys))
+            pairs = sorted_basis(d, i)
+            assert list(kunneth_basis(d, i)) == pairs, (d, i)
+            index = {pair: j for j, pair in enumerate(pairs)}
+            assert all(kunneth_index(d, i, s, t) == j for (s, t), j in index.items())
+            assert swap_permutation(d, i) == tuple(index[t, s] for s, t in pairs)
+
+
+def test_kunneth_index_rejects_non_classes():
+    for d, i, left, right in (
+        (3, 2, 0b001, 0b011),  # degrees add up to 3, not 2
+        (2, 2, 0b100, 0b001),  # index outside 1..d
+        (2, 1, -1, 0b001),  # negative mask
+    ):
+        with pytest.raises(ValueError):
+            kunneth_index(d, i, left, right)
 
 
 # --- cup product ----------------------------------------------------------
 
 def test_cup_square_vanishes():
-    assert cup(tc(0b1, 0), tc(0b1, 0)) is None
+    assert cup((0b1, 0), (0b1, 0)) is None
 
 
 def test_cup_unit():
-    assert cup(tc(0, 0), tc(0b101, 0b10)) == tc(0b101, 0b10)
+    assert cup((0, 0), (0b101, 0b10)) == (0b101, 0b10)
 
 
 def test_cup_disjoint_union():
-    assert cup(tc(0b01, 0b10), tc(0b10, 0b01)) == tc(0b11, 0b11)
+    assert cup((0b01, 0b10), (0b10, 0b01)) == (0b11, 0b11)
 
 
 masks = st.integers(0, 15)
@@ -96,12 +111,12 @@ masks = st.integers(0, 15)
 
 @given(masks, masks, masks, masks)
 def test_cup_commutative(a, b, c, d):
-    assert cup(tc(a, b), tc(c, d)) == cup(tc(c, d), tc(a, b))
+    assert cup((a, b), (c, d)) == cup((c, d), (a, b))
 
 
 @given(masks, masks, masks, masks, masks, masks)
 def test_cup_associative(a, b, c, d, e, f):
-    x, y, z = tc(a, b), tc(c, d), tc(e, f)
+    x, y, z = (a, b), (c, d), (e, f)
     left = cup(x, y)
     right = cup(y, z)
     lhs = cup(left, z) if left is not None else None
@@ -112,15 +127,15 @@ def test_cup_associative(a, b, c, d, e, f):
 @given(masks, masks, masks, masks)
 def test_cup_vanishes_exactly_on_overlap(a, b, c, d):
     overlap = bool(a & c) or bool(b & d)
-    assert (cup(tc(a, b), tc(c, d)) is None) == overlap
+    assert (cup((a, b), (c, d)) is None) == overlap
 
 
 def test_cup_vector_expands_termwise():
     # (1 x e1* + 1 x e2*) cup (e1* x 1) = e1* x e1* + e1* x e2* for d = 2
     d = 2
     out = cup_vector(d, 1, 0b0011, 1, 0b0100)
-    index = kunneth_index(d, 2)
-    assert out == 1 << index[0b01, 0b01] | 1 << index[0b01, 0b10]
+    terms = ((0b01, 0b01), (0b01, 0b10))
+    assert out == sum(1 << kunneth_index(d, 2, s, t) for s, t in terms)
 
 
 def test_cup_vector_cancels_mod2():
@@ -197,11 +212,3 @@ def test_decomposition_validation():
     with pytest.raises(ValueError):
         Decomposition(2, -2, 2)
 
-
-def test_monomial_degree_and_indices():
-    m = Monomial(0b1011)
-    assert m.degree == 3
-    assert tuple(bit_indices(m.mask)) == (0, 1, 3)  # cells 1, 2, 4
-    assert Monomial(0).degree == 0
-    with pytest.raises(ValueError):
-        Monomial(-1)
