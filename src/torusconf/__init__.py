@@ -18,7 +18,6 @@ from .borel import (
     consistency_check,
     e2_page,
     fixture_page,
-    later_page_fixture,
     sw_height,
     uconf_fixture,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "kernel_generators",
     "kunneth_basis",
     "kunneth_index",
-    "later_page_fixture",
     "monomials",
     "phi_star_build",
     "poincare_product",

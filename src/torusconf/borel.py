@@ -131,29 +131,19 @@ def _fixture_pages() -> dict[tuple[int, int | None], SSPage]:
     return pages
 
 
-def _stored_page(d: int, page: int | str | None, first: int) -> SSPage:
-    """The stored table of ``page`` for d, refused below page ``first``."""
+def fixture_page(d: int, page: int | str | None) -> SSPage:
+    """Stored page table for d in {2, 3}: page 2 is the figure transcription
+    that the computed e2_page must reproduce, and the hand-resolved later
+    pages are r in {3, 4, inf} for d = 2 and r in {3, inf} for d = 3."""
     norm = _normalize_page(page)
     stored = _fixture_pages().get((d, norm))
-    if stored is None or (norm is not None and norm < first):
+    if stored is None:
         raise ValueError(
             f"no stored page {PAGE_INF if norm is None else norm} for d={d}: "
             "later pages exist only for d in {2, 3} (pages 3 and inf, and "
             "page 4 for d = 2); differentials are not computed automatically"
         )
     return stored
-
-
-def fixture_page(d: int, page: int | str | None) -> SSPage:
-    """Stored page table for d in {2, 3}; page 2 is the figure transcription
-    that the computed e2_page must reproduce."""
-    return _stored_page(d, page, 2)
-
-
-def later_page_fixture(d: int, page: int | str | None) -> SSPage:
-    """Hand-resolved pages after the second: r in {3, 4, inf} for d = 2 and
-    r in {3, inf} for d = 3."""
-    return _stored_page(d, page, 3)
 
 
 @dataclass(frozen=True)

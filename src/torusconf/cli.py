@@ -16,16 +16,16 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .borel import e2_page, later_page_fixture
+from .borel import e2_page, fixture_page
 from .decomp import closed_form_report, decompose, reduced_table
 from .quotient import conf_module
 from .torus import Decomposition
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-# check --dmax 11 took 18 s and peaked at 205 MB of RSS; d = 12 has not been
+# check --dmax 12 took 32 s and peaked at 831 MB of RSS; d = 13 has not been
 # measured.
-DMAX_CAP = 11
+DMAX_CAP = 12
 # ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
 # is far above the default 2d + 2 for every d up to DMAX_CAP.
 PMAX_CAP = 1000
@@ -193,7 +193,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
         if args.page == "2":
             page = e2_page(args.d, pmax)
         else:
-            page = later_page_fixture(args.d, args.page).with_pmax(pmax)
+            page = fixture_page(args.d, args.page).with_pmax(pmax)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import Gf2Matrix, SubspaceNotPreservedError, bit_indices, rank
+from .gf2 import (
+    Gf2Matrix,
+    SubspaceNotPreservedError,
+    bit_indices,
+    from_indices,
+    rank,
+)
 from .quotient import conf_module
 from .torus import Decomposition, Sigma2Module, binom, torus_closed_form
 
@@ -47,23 +53,20 @@ def decompose(m: Sigma2Module) -> Decomposition:
     n = len(perm)
     if any(not 0 <= p < n or perm[p] != j for j, p in enumerate(perm)):
         raise ValueError("sigma is not an involution")
-    pairs = sum(1 for j, p in enumerate(perm) if j < p)
+    fixed = [j for j, p in enumerate(perm) if j == p]
+    pairs = (n - len(fixed)) // 2
     lost = 0
     if m.presentation is not None:
         q = m.presentation.quotient
+        on_fixed = from_indices(fixed)
         images = []
         for r in q.rows:
-            swapped = fixed = 0
-            for b in bit_indices(r):
-                p = perm[b]
-                swapped |= 1 << p
-                if p == b:
-                    fixed |= 1 << b
+            swapped = from_indices(perm[b] for b in bit_indices(r))
             if q.reduce_bits(swapped):
                 raise SubspaceNotPreservedError(
                     "swap does not stabilise the subspace; no induced quotient map"
                 )
-            images.append((swapped ^ r) | fixed)
+            images.append((swapped ^ r) | (r & on_fixed))
         lost = len(images) - rank(Gf2Matrix(len(images), n, tuple(images)))
     regular = pairs - lost
     return Decomposition(m.dim, m.dim - 2 * regular, regular)

@@ -18,11 +18,34 @@ from typing import Iterable, Iterator
 
 
 def bit_indices(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield the indices of the set bits of ``mask`` in increasing order.
+
+    One scan of the binary digits, so the cost is linear in the length of
+    the mask however many bits are set. Raises ValueError on a negative
+    mask, which has no finite set of bits.
+    """
+    if mask < 0:
+        raise ValueError("a negative mask has no finite set of bits")
+    digits = bin(mask)[:1:-1]  # lowest bit first
+    j = digits.find("1")
+    while j >= 0:
+        yield j
+        j = digits.find("1", j + 1)
+
+
+def from_indices(indices: Iterable[int]) -> int:
+    """The GF(2) sum of the unit vectors e_j over ``indices``, as a mask: a
+    repeated index cancels. Built in one byte array, so the cost is linear
+    in the length of the result. Raises ValueError on a negative index."""
+    idx = list(indices)
+    if not idx:
+        return 0
+    if min(idx) < 0:
+        raise ValueError("bit indices must be nonnegative")
+    buf = bytearray((max(idx) >> 3) + 1)
+    for j in idx:
+        buf[j >> 3] ^= 1 << (j & 7)
+    return int.from_bytes(buf, "little")
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -111,15 +134,13 @@ def _echelon_pivots(rows: Iterable[int]) -> dict[int, int]:
 def _rref(rows: Iterable[int]) -> dict[int, int]:
     """Full row reduction: no stored row contains another row's pivot bit."""
     pivots = _echelon_pivots(rows)
+    pivot_mask = from_indices(pivots)
+    # Echelon row p has no bit below p, and rows of higher pivot are reduced
+    # first, so clearing its other pivot bits brings in no new pivot bit.
     for p in sorted(pivots, reverse=True):
         r = pivots[p]
-        t = r ^ (1 << p)
-        while t:
-            low = t & -t
-            q = low.bit_length() - 1
-            t ^= low
-            if q in pivots and (r >> q) & 1:
-                r ^= pivots[q]
+        for q in bit_indices(r & pivot_mask ^ (1 << p)):
+            r ^= pivots[q]
         pivots[p] = r
     return pivots
 
@@ -151,15 +172,11 @@ class QuotientBasis:
     @cached_property
     def free_coords(self) -> tuple[int, ...]:
         """The pivot-free coordinates, in increasing order."""
-        mask = self._pivot_mask
-        return tuple(c for c in range(self.ambient_dim) if not (mask >> c) & 1)
+        return tuple(bit_indices(((1 << self.ambient_dim) - 1) ^ self._pivot_mask))
 
     @cached_property
     def _pivot_mask(self) -> int:
-        mask = 0
-        for p in self.pivots:
-            mask |= 1 << p
-        return mask
+        return from_indices(self.pivots)
 
     @cached_property
     def _row_by_pivot(self) -> dict[int, int]:
@@ -170,13 +187,10 @@ class QuotientBasis:
         return {f: k for k, f in enumerate(self.free_coords)}
 
     def reduce_bits(self, bits: int) -> int:
-        hits = bits & self._pivot_mask
         rows = self._row_by_pivot
-        while hits:
-            low = hits & -hits
-            bits ^= rows[low.bit_length() - 1]
-            # RREF rows carry no other pivot bit, so only `low` leaves the mask.
-            hits ^= low
+        # RREF rows carry no other pivot bit, so each clears exactly its own.
+        for p in bit_indices(bits & self._pivot_mask):
+            bits ^= rows[p]
         return bits
 
 

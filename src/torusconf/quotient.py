@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import Gf2Matrix, QuotientBasis, quotient_structure, submasks
+from .gf2 import Gf2Matrix, QuotientBasis, from_indices, quotient_structure, submasks
 from .torus import (
     Sigma2Module,
     binom,
@@ -95,15 +95,12 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
     terms with a repeated index drop out, leaving the 2^(2d-i) terms whose
     masks meet exactly in m.
     """
-    ambient = total_dim(d, i)
-    gens: list[int] = []
-    if d <= i <= 2 * d:
-        for m in monomials(d, i - d):
-            bits = 0
-            for left, right in _relation_terms(d, m):
-                bits |= 1 << kunneth_index(d, i, left, right)
-            gens.append(bits)
-    return KernelPresentation(d, i, tuple(gens), quotient_structure(ambient, gens))
+    # monomials(d, i - d) is empty unless d <= i <= 2d
+    gens = tuple(
+        from_indices(kunneth_index(d, i, s, t) for s, t in _relation_terms(d, m))
+        for m in monomials(d, i - d)
+    )
+    return KernelPresentation(d, i, gens, quotient_structure(total_dim(d, i), gens))
 
 
 def conf_dim(d: int, i: int) -> int:
@@ -146,9 +143,9 @@ def fixed_element_x(d: int, i: int, m: int) -> int:
         raise ValueError(f"expected a degree-{i - d} monomial inside 1..{d}")
     free = full ^ m
     n = 2 * d - i
-    bits = 0
+    kept = []
     for left, right in _relation_terms(d, m):
         a = right ^ m
         if 2 * a.bit_count() < n or (2 * a.bit_count() == n and a < free ^ a):
-            bits |= 1 << kunneth_index(d, i, left, right)
-    return bits
+            kept.append(kunneth_index(d, i, left, right))
+    return from_indices(kept)

@@ -8,13 +8,9 @@ monomials, and the coordinate swap acts by exchanging the two masks.
 Basis order is fixed once and for all: tensor classes of a given degree are
 sorted by (left mask, right mask) read as integers. Every matrix, vector
 and table in the package is written in that order. The position of the
-degree-i class (S, T) is therefore off_i[S] + colex(T), where
-
-    colex(T) = sum over j of C(p_j, j), for the set bits p_1 < p_2 < ... of T,
-
-is the position of T among the masks of its weight in increasing integer
-order, and off_i[S], the sum of C(d, i - |S'|) over all masks S' < S, counts
-the classes whose left mask is smaller than S.
+degree-i class (S, T) is therefore off_i[S] + pos(T), where pos(T) is the
+index of T in monomials(d, |T|), and off_i[S], the sum of C(d, i - |S'|)
+over all masks S' < S, counts the classes whose left mask is smaller than S.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING
 
-from .gf2 import Gf2Matrix, bit_indices
+from .gf2 import Gf2Matrix, bit_indices, from_indices
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quotient import KernelPresentation
@@ -40,24 +36,19 @@ def binom(m: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def monomials(d: int, k: int) -> tuple[int, ...]:
     """The masks of the C(d, k) degree-k monomials, in increasing order."""
-    if k < 0 or k > d:
+    if not 0 <= k <= d:
         return ()
-    if k == 0:
-        return (0,)
-    out = []
-    m = (1 << k) - 1
-    top = 1 << d
-    while m < top:
-        out.append(m)
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
-    return tuple(out)
+    return tuple(m for m in range(1 << d) if m.bit_count() == k)
 
 
-def colex(mask: int) -> int:
-    """Position of ``mask`` among the masks of its weight, in increasing order."""
-    return sum(comb(p, j) for j, p in enumerate(bit_indices(mask), 1))
+@lru_cache(maxsize=None)
+def _positions(d: int) -> tuple[int, ...]:
+    """Entry T is the index of the mask T in monomials(d, |T|)."""
+    pos = [0] * (1 << d)
+    for k in range(d + 1):
+        for j, t in enumerate(monomials(d, k)):
+            pos[t] = j
+    return tuple(pos)
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +86,7 @@ def kunneth_index(d: int, i: int, left: int, right: int) -> int:
         left.bit_count() + right.bit_count() != i
     ):
         raise ValueError(f"({left}, {right}) is not a degree-{i} class for d={d}")
-    return _offsets(d, i)[left] + colex(right)
+    return _offsets(d, i)[left] + _positions(d)[right]
 
 
 def total_dim(d: int, i: int) -> int:
@@ -119,23 +110,21 @@ def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
     basis_b = kunneth_basis(d, deg_b)
     if a < 0 or a >> len(basis_a) or b < 0 or b >> len(basis_b):
         raise ValueError("vector does not match the stated degree")
-    bits = 0
-    for ia in bit_indices(a):
-        ta = basis_a[ia]
-        for ib in bit_indices(b):
-            c = cup(ta, basis_b[ib])
-            if c is not None:
-                bits ^= 1 << kunneth_index(d, deg_a + deg_b, *c)
-    return bits
+    right = [basis_b[ib] for ib in bit_indices(b)]
+    products = (cup(basis_a[ia], tb) for ia in bit_indices(a) for tb in right)
+    return from_indices(
+        kunneth_index(d, deg_a + deg_b, *c) for c in products if c is not None
+    )
 
 
 def swap_permutation(d: int, i: int) -> tuple[int, ...]:
     """The swap on the degree-i tensor basis: entry j is the position of the
     swapped class (right, left) of basis class j = (left, right)."""
     off = _offsets(d, i)
+    pos = _positions(d)
     perm: list[int] = []
     for smask in range(1 << d):
-        shift = colex(smask)
+        shift = pos[smask]
         perm.extend(off[t] + shift for t in monomials(d, i - smask.bit_count()))
     return tuple(perm)
 

@@ -110,7 +110,7 @@ def test_criterion_06_shear_pullback_laws():
     # involutive in every degree; product law exhaustive for d <= 4, sampled
     # on 10,000 pairs for d = 5
     for d in range(1, 6):
-        entry = _check_phi_star(d, 10_000)
+        entry = _check_phi_star(d)
         assert entry.passed, entry
     _passed(6, "shear pullback laws d<=5")
 

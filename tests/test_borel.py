@@ -8,7 +8,6 @@ from torusconf.borel import (
     consistency_check,
     e2_page,
     fixture_page,
-    later_page_fixture,
     sw_height,
     uconf_fixture,
 )
@@ -55,7 +54,7 @@ def test_e2_rejects_bad_arguments():
 # --- stored pages -----------------------------------------------------------------
 
 def test_limit_page_d2():
-    page = later_page_fixture(2, PAGE_INF)
+    page = fixture_page(2, PAGE_INF)
     assert page.rows == (
         (1, 1, 1, 0, 0, 0),
         (2, 0, 0, 0, 0, 0),
@@ -67,31 +66,29 @@ def test_limit_page_d2():
 
 
 def test_limit_page_d3_rows():
-    page = later_page_fixture(3, "inf")
+    page = fixture_page(3, "inf")
     assert page.rows[4] == (6, 3, 0, 0, 0, 0, 0, 0)
     assert page.rows[2] == (9, 3, 3, 0, 0, 0, 0, 0)
 
 
 def test_third_page_d2():
-    page = later_page_fixture(2, 3)
+    page = fixture_page(2, 3)
     assert page.rows[2] == (4, 3, 1, 1, 1, 1)
     assert page.source_figure == "figure-3"
 
 
 def test_fourth_page_d2_is_the_limit():
-    p4 = later_page_fixture(2, 4)
-    pinf = later_page_fixture(2, PAGE_INF)
+    p4 = fixture_page(2, 4)
+    pinf = fixture_page(2, PAGE_INF)
     assert p4.rows == pinf.rows
     assert p4.page == 4
 
 
 def test_unsupported_pages_raise():
     with pytest.raises(ValueError):
-        later_page_fixture(4, 3)
+        fixture_page(4, 3)
     with pytest.raises(ValueError):
-        later_page_fixture(3, 4)
-    with pytest.raises(ValueError):
-        later_page_fixture(2, 2)
+        fixture_page(3, 4)
 
 
 def test_pages_monotone_entrywise():
@@ -105,7 +102,7 @@ def test_pages_monotone_entrywise():
 
 
 def test_with_pmax_extends_constant_tail():
-    page = later_page_fixture(2, PAGE_INF).with_pmax(8)
+    page = fixture_page(2, PAGE_INF).with_pmax(8)
     assert page.rows[0] == (1, 1, 1, 0, 0, 0, 0, 0, 0)
     assert page.dim_at(30, 0) == 0
     narrowed = page.with_pmax(2)
@@ -113,7 +110,7 @@ def test_with_pmax_extends_constant_tail():
 
 
 def test_antidiagonal_sums():
-    page = later_page_fixture(3, PAGE_INF)
+    page = fixture_page(3, PAGE_INF)
     assert page.antidiagonal_sums(6) == (1, 4, 10, 13, 9, 3, 0)
 
 

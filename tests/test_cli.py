@@ -140,7 +140,7 @@ def test_ss_caps_pmax(capsys, monkeypatch):
 
     # rows are pmax + 1 wide, so never let a huge page be built here
     monkeypatch.setattr(cli, "e2_page", refuse)
-    monkeypatch.setattr(cli, "later_page_fixture", refuse)
+    monkeypatch.setattr(cli, "fixture_page", refuse)
     for page in ("2", "inf"):
         pmax = str(cli.PMAX_CAP + 1)
         code, _, err = run_cli(capsys, "ss", "--d", "2", "--page", page, "--pmax", pmax)
@@ -176,7 +176,7 @@ def test_check_caps_dmax(capsys, monkeypatch):
     # a sweep past the cap has not been measured to fit in memory, so never
     # let one run here
     monkeypatch.setattr(cli, "run_checks", refuse)
-    for dmax in ("12", "13"):
+    for dmax in ("13", "14"):
         code, _, err = run_cli(capsys, "check", "--dmax", dmax)
         assert code == 2
         assert "--force" in err

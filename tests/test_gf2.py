@@ -1,11 +1,14 @@
+from itertools import islice
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torusconf.gf2 import (
     Gf2Matrix,
     SubspaceNotPreservedError,
     bit_indices,
+    from_indices,
     induced_map_on_quotient,
     quotient_structure,
     rank,
@@ -23,6 +26,43 @@ def brute_span(masks, n):
 
 def mat(rows, ncols):
     return Gf2Matrix(len(rows), ncols, tuple(rows))
+
+
+# --- mask <-> bit positions ----------------------------------------------
+
+LONG = (1 << 20) + 5  # a mask length past 2^20 bits
+
+
+@given(st.integers(0, 1 << 300))
+@example(1 | 1 << (LONG - 1))
+def test_mask_to_indices_round_trip(mask):
+    indices = list(bit_indices(mask))
+    assert len(indices) == mask.bit_count()
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert from_indices(indices) == mask
+
+
+@given(st.sets(st.integers(0, 2000)))
+@example({0, LONG - 1})
+def test_indices_to_mask_round_trip(indices):
+    mask = from_indices(indices)
+    assert mask == sum(1 << j for j in indices)
+    assert list(bit_indices(mask)) == sorted(indices)
+
+
+def test_from_indices_repeats_cancel():
+    assert from_indices([]) == 0
+    assert from_indices([3, 3]) == 0
+    assert from_indices([3, 5, 3]) == 1 << 5
+
+
+def test_negative_masks_and_indices_raise():
+    # islice bounds the walk, so a version that never ends on a negative
+    # mask fails here instead of hanging
+    with pytest.raises(ValueError):
+        list(islice(bit_indices(-5), 4))
+    with pytest.raises(ValueError):
+        from_indices([2, -1])
 
 
 # --- rank ---------------------------------------------------------------

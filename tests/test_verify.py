@@ -8,7 +8,7 @@ def test_poincare_product_small():
 
 
 def test_run_checks_dmax3_passes():
-    suite = run_checks(3, sample_pairs=100)
+    suite = run_checks(3)
     assert suite.passed
     names = [e.name for e in suite.entries]
     assert "conf-oracle d=3" in names
@@ -20,8 +20,8 @@ def test_run_checks_dmax3_passes():
 
 
 def test_run_checks_is_deterministic():
-    a = run_checks(2, sample_pairs=50)
-    b = run_checks(2, sample_pairs=50)
+    a = run_checks(2)
+    b = run_checks(2)
     assert a == b
 
 
