@@ -25,6 +25,7 @@ from .decomp import (
     ClosedFormReport,
     closed_form_report,
     conf_closed_form,
+    conf_table,
     decompose,
     published_closed_form,
     reduced_table,
@@ -38,7 +39,6 @@ from .gf2 import (
     rank,
 )
 from .quotient import (
-    KernelPresentation,
     PhiStar,
     conf_dim,
     conf_module,
@@ -48,6 +48,7 @@ from .quotient import (
 )
 from .torus import (
     Decomposition,
+    KernelPresentation,
     Sigma2Module,
     binom,
     cup,
@@ -87,6 +88,7 @@ __all__ = [
     "conf_closed_form",
     "conf_dim",
     "conf_module",
+    "conf_table",
     "consistency_check",
     "cup",
     "cup_vector",

@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 
-from .decomp import decompose
-from .quotient import conf_module
+from .decomp import conf_table
 
 PAGE_INF = "inf"
 
@@ -102,12 +101,12 @@ def e2_page(d: int, pmax: int) -> SSPage:
         raise ValueError("d must be at least 1")
     if pmax < 0:
         raise ValueError("pmax must be nonnegative")
-    rows = []
-    for q in range(2 * d):
-        dec = decompose(conf_module(d, q))
-        rows.append((dec.trivial + dec.regular,) + (dec.trivial,) * pmax)
+    rows = tuple(
+        (dec.trivial + dec.regular,) + (dec.trivial,) * pmax
+        for dec in conf_table(d)[:-1]  # H^2d vanishes
+    )
     return SSPage(
-        d, 2, pmax, tuple(rows), (True,) * (2 * d), provenance="computed"
+        d, 2, pmax, rows, (True,) * (2 * d), provenance="computed"
     )
 
 

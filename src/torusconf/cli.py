@@ -17,15 +17,17 @@ from typing import Sequence
 
 from . import __version__
 from .borel import e2_page, fixture_page
-from .decomp import closed_form_report, decompose, reduced_table
-from .quotient import conf_module
+# decompose and conf_module are not called here; bench/selftest.py reaches
+# them through this module
+from .decomp import closed_form_report, conf_table, decompose, reduced  # noqa: F401
+from .quotient import conf_module  # noqa: F401
 from .torus import Decomposition
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-# check --dmax 12 took 32 s and peaked at 831 MB of RSS; d = 13 has not been
-# measured.
-DMAX_CAP = 12
+# check --dmax 13 took 128 s and peaked at 1.1 GB of RSS, most of it the
+# kernel rows of every degree; d = 14 has not been measured.
+DMAX_CAP = 13
 # ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
 # is far above the default 2d + 2 for every d up to DMAX_CAP.
 PMAX_CAP = 1000
@@ -159,12 +161,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.reduced and args.d < 1:
         print("error: the reduced table requires d >= 1", file=sys.stderr)
         return 2
-    if args.reduced:
-        decs = list(reduced_table(args.d))
-    else:
-        decs = [decompose(conf_module(args.d, i)) for i in range(2 * args.d)]
-    decs.append(decompose(conf_module(args.d, 2 * args.d)))
-    table_rows = list(enumerate(decs))
+    decs = conf_table(args.d)
+    table_rows = list(enumerate(reduced(decs) if args.reduced else decs))
     payload = {
         "d": args.d,
         "reduced": args.reduced,
@@ -263,7 +261,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_poincare(args: argparse.Namespace) -> int:
-    coefficients = [decompose(conf_module(args.d, i)).dim for i in range(2 * args.d + 1)]
+    coefficients = [dec.dim for dec in conf_table(args.d)]
     product = list(poincare_product(args.d))
     payload = {
         "d": args.d,

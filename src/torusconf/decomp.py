@@ -5,12 +5,12 @@ Over F2 the group ring of an order-2 group is F2[x]/(x^2) with x = 1 + sigma,
 so the only indecomposables are the trivial module and the regular module,
 and the regular multiplicity of any involution equals rank(sigma + 1).
 
-Every module here is a permutation module V, whose basis the swap permutes,
-or its quotient V/K by a swap-stable subspace K. On V the image of sigma + 1
-is spanned by e_j + e_sigma(j), one vector per swapped pair {j, sigma(j)}:
-it is the set of swap-invariant vectors that vanish on the fixed
-coordinates, of dimension #pairs. On V/K the image is (im(sigma + 1) + K)/K,
-so
+Every module here is V/K: a permutation module V, whose basis the swap
+permutes, modulo a swap-stable subspace K (K = 0 without relations). On V
+the image of sigma + 1 is spanned by e_j + e_sigma(j), one vector per
+swapped pair {j, sigma(j)}: it is the set of swap-invariant vectors that
+vanish on the fixed coordinates, of dimension #pairs. On V/K the image is
+(im(sigma + 1) + K)/K, so
 
     rank(sigma + 1 on V/K) = #pairs - dim(K intersect im(sigma + 1)).
 
@@ -46,29 +46,26 @@ def decompose(m: Sigma2Module) -> Decomposition:
     """Multiplicities of trivial and regular summands of an involution module.
 
     Raises ValueError unless the swap is an involution, and
-    SubspaceNotPreservedError unless it maps the relation subspace of a
-    quotient module into itself.
+    SubspaceNotPreservedError unless it maps the relation subspace into
+    itself.
     """
     perm = m.swap
     n = len(perm)
     if any(not 0 <= p < n or perm[p] != j for j, p in enumerate(perm)):
         raise ValueError("sigma is not an involution")
     fixed = [j for j, p in enumerate(perm) if j == p]
-    pairs = (n - len(fixed)) // 2
-    lost = 0
-    if m.presentation is not None:
-        q = m.presentation.quotient
-        on_fixed = from_indices(fixed)
-        images = []
-        for r in q.rows:
-            swapped = from_indices(perm[b] for b in bit_indices(r))
-            if q.reduce_bits(swapped):
-                raise SubspaceNotPreservedError(
-                    "swap does not stabilise the subspace; no induced quotient map"
-                )
-            images.append((swapped ^ r) | (r & on_fixed))
-        lost = len(images) - rank(Gf2Matrix(len(images), n, tuple(images)))
-    regular = pairs - lost
+    q = m.presentation.quotient
+    on_fixed = from_indices(fixed)
+    images = []
+    for r in q.rows:
+        swapped = from_indices(perm[b] for b in bit_indices(r))
+        if q.reduce_bits(swapped):
+            raise SubspaceNotPreservedError(
+                "swap does not stabilise the subspace; no induced quotient map"
+            )
+        images.append((swapped ^ r) | (r & on_fixed))
+    lost = len(images) - rank(Gf2Matrix(len(images), n, tuple(images)))
+    regular = (n - len(fixed)) // 2 - lost
     return Decomposition(m.dim, m.dim - 2 * regular, regular)
 
 
@@ -140,12 +137,21 @@ def closed_form_report(d: int, i: int) -> ClosedFormReport:
     )
 
 
+def conf_table(d: int) -> tuple[Decomposition, ...]:
+    """Decompositions of conf_module(d, i) for i = 0 .. 2d, each module
+    built and dropped before the next one."""
+    return tuple(decompose(conf_module(d, i)) for i in range(2 * d + 1))
+
+
+def reduced(table: tuple[Decomposition, ...]) -> tuple[Decomposition, ...]:
+    """A degree table in reduced cohomology: degree 0 loses the trivial
+    summand of the unit class."""
+    head = table[0]
+    return (Decomposition(head.dim - 1, head.trivial - 1, head.regular),) + table[1:]
+
+
 def reduced_table(d: int) -> tuple[Decomposition, ...]:
-    """Decompositions of degrees 0 .. 2d-1 with degree 0 reduced by one
-    trivial summand (reduced cohomology)."""
+    """Reduced decompositions of degrees 0 .. 2d-1."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    rows = [decompose(conf_module(d, i)) for i in range(2 * d)]
-    head = rows[0]
-    rows[0] = Decomposition(head.dim - 1, head.trivial - 1, head.regular)
-    return tuple(rows)
+    return reduced(conf_table(d))[:-1]

@@ -14,17 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import Gf2Matrix, QuotientBasis, from_indices, quotient_structure, submasks
+from .gf2 import Gf2Matrix, from_indices, quotient_structure, submasks
 from .torus import (
+    KernelPresentation,
     Sigma2Module,
     binom,
     kunneth_basis,
     kunneth_index,
     monomials,
     swap_permutation,
-    torus_module,
     total_dim,
-    zero_module,
 )
 
 
@@ -71,20 +70,6 @@ def _relation_terms(d: int, m: int) -> Iterator[tuple[int, int]]:
         yield m | (free ^ a), m | a
 
 
-@dataclass(frozen=True)
-class KernelPresentation:
-    """Generators of the restriction kernel in one degree, with its span."""
-
-    d: int
-    i: int
-    generators: tuple[int, ...]
-    quotient: QuotientBasis
-
-    @property
-    def span_dim(self) -> int:
-        return len(self.quotient.pivots)
-
-
 def kernel_generators(d: int, i: int) -> KernelPresentation:
     """The C(d, i-d) kernel generators in degree i (none below degree d).
 
@@ -100,7 +85,7 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
         from_indices(kunneth_index(d, i, s, t) for s, t in _relation_terms(d, m))
         for m in monomials(d, i - d)
     )
-    return KernelPresentation(d, i, gens, quotient_structure(total_dim(d, i), gens))
+    return KernelPresentation(gens, quotient_structure(total_dim(d, i), gens))
 
 
 def conf_dim(d: int, i: int) -> int:
@@ -111,24 +96,21 @@ def conf_dim(d: int, i: int) -> int:
 
 
 def conf_module(d: int, i: int) -> Sigma2Module:
-    """H^i of the two-point configuration space of T^d with its swap action.
-
-    Below degree d the restriction is an isomorphism and the torus-square
-    module is returned verbatim; from degree d on it is the quotient by the
-    kernel generators; from degree 2d on everything dies.
+    """H^i of the two-point configuration space of T^d with its swap action:
+    the tensor basis modulo the kernel generators, of which there are none
+    below degree d. From degree 2d on everything dies, and the empty module
+    is returned without building any table of 2^d entries.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    if i < 0 or i >= 2 * d:
-        return zero_module()
-    if i < d:
-        return torus_module(d, i)
-    kp = kernel_generators(d, i)
-    return Sigma2Module(kp.quotient.dim, swap_permutation(d, i), presentation=kp)
+    if not 0 <= i < 2 * d:
+        return Sigma2Module((), KernelPresentation((), quotient_structure(0, ())))
+    kp = kernel_generators(d, i)  # row-reduced before the swap is built
+    return Sigma2Module(swap_permutation(d, i), kp)
 
 
-def fixed_element_x(d: int, i: int, m: int) -> int:
-    """A representative whose coset is swap-fixed yet nonzero.
+def fixed_element_terms(d: int, i: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The terms (left, right) of fixed_element_x(d, i, m).
 
     Take the kernel generator attached to the monomial mask ``m`` and keep
     one term from each swapped pair: all terms whose left degree exceeds
@@ -147,5 +129,11 @@ def fixed_element_x(d: int, i: int, m: int) -> int:
     for left, right in _relation_terms(d, m):
         a = right ^ m
         if 2 * a.bit_count() < n or (2 * a.bit_count() == n and a < free ^ a):
-            kept.append(kunneth_index(d, i, left, right))
-    return from_indices(kept)
+            kept.append((left, right))
+    return tuple(kept)
+
+
+def fixed_element_x(d: int, i: int, m: int) -> int:
+    """A representative whose coset is swap-fixed yet nonzero: half of the
+    kernel generator of ``m``, one term from each swapped pair."""
+    return from_indices(kunneth_index(d, i, *t) for t in fixed_element_terms(d, i, m))

@@ -18,12 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING
 
-from .gf2 import Gf2Matrix, bit_indices, from_indices
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .quotient import KernelPresentation
+from .gf2 import Gf2Matrix, QuotientBasis, bit_indices, from_indices, quotient_structure
 
 
 def binom(m: int, n: int) -> int:
@@ -119,7 +115,10 @@ def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
 
 def swap_permutation(d: int, i: int) -> tuple[int, ...]:
     """The swap on the degree-i tensor basis: entry j is the position of the
-    swapped class (right, left) of basis class j = (left, right)."""
+    swapped class (right, left) of basis class j = (left, right). Outside
+    0 <= i <= 2d the basis is empty, and no table of 2^d entries is built."""
+    if not 0 <= i <= 2 * d:
+        return ()
     off = _offsets(d, i)
     pos = _positions(d)
     perm: list[int] = []
@@ -162,40 +161,42 @@ class Decomposition:
 
 
 @dataclass(frozen=True)
-class Sigma2Module:
-    """A finite F2-vector space with an involution induced by a permutation
-    of an ambient basis.
+class KernelPresentation:
+    """Relation generators in an ambient space, with the quotient by their span."""
 
-    ``swap`` is that permutation of the ambient tensor basis (entry j is
-    the image of basis vector j). For a plain module the ambient
-    basis is the module's own basis. When the module is presented as the
-    ambient space modulo a swap-stable subspace, ``presentation`` records the
-    relation generators and the quotient structure, and the involution of
-    the module is the one ``swap`` induces on quotient coordinates.
+    generators: tuple[int, ...]
+    quotient: QuotientBasis
+
+    @property
+    def span_dim(self) -> int:
+        return len(self.quotient.pivots)
+
+
+@dataclass(frozen=True)
+class Sigma2Module:
+    """An F2-vector space with an involution: the ambient tensor basis, which
+    ``swap`` permutes (entry j is the image of basis vector j), modulo the
+    swap-stable span of the relations in ``presentation``. The involution of
+    the module is the one ``swap`` induces on quotient coordinates; with no
+    relations the module is the ambient space itself.
     """
 
-    dim: int
     swap: tuple[int, ...]
-    presentation: "KernelPresentation | None" = None
+    presentation: KernelPresentation
 
     def __post_init__(self) -> None:
-        ambient = self.dim if self.presentation is None else (
-            self.presentation.quotient.ambient_dim
-        )
-        if len(self.swap) != ambient:
+        if len(self.swap) != self.presentation.quotient.ambient_dim:
             raise ValueError("swap must permute the ambient basis")
 
-
-def zero_module() -> Sigma2Module:
-    return Sigma2Module(0, ())
+    @property
+    def dim(self) -> int:
+        return self.presentation.quotient.dim
 
 
 def torus_module(d: int, i: int) -> Sigma2Module:
     """H^i of the square of T^d with the swap involution, on the tensor basis."""
-    n = total_dim(d, i)
-    if n == 0:
-        return zero_module()
-    return Sigma2Module(n, swap_permutation(d, i))
+    free = KernelPresentation((), quotient_structure(total_dim(d, i), ()))
+    return Sigma2Module(swap_permutation(d, i), free)
 
 
 def torus_closed_form(d: int, i: int) -> Decomposition:

@@ -22,9 +22,10 @@ from .decomp import (
     published_closed_form,
     reduced_table,
 )
-from .gf2 import Gf2Matrix, bit_indices, from_indices
+from .gf2 import Gf2Matrix, from_indices
 from .quotient import (
     conf_module,
+    fixed_element_terms,
     fixed_element_x,
     kernel_generators,
     phi_star_build,
@@ -99,9 +100,9 @@ def _check_poincare(d: int, decs) -> CheckEntry:
     )
 
 
-def _check_kernel_span(d: int, modules) -> CheckEntry:
+def _check_kernel_span(d: int, presentations) -> CheckEntry:
     for i in range(d, 2 * d):
-        kp = modules[i].presentation
+        kp = presentations[i]
         expected = binom(d, i - d)
         if len(kp.generators) != expected or kp.span_dim != expected:
             return CheckEntry(
@@ -119,11 +120,17 @@ def _check_kernel_span(d: int, modules) -> CheckEntry:
     )
 
 
-def _check_fixed_element(d: int, modules) -> CheckEntry:
+def _swapped_fixed_element(d: int, i: int, m: int) -> int:
+    """The swap of fixed_element_x(d, i, m), ranked term by swapped term."""
+    return from_indices(
+        kunneth_index(d, i, right, left) for left, right in fixed_element_terms(d, i, m)
+    )
+
+
+def _check_fixed_element(d: int, presentations) -> CheckEntry:
     checked = 0
     for i in range(d, 2 * d):
-        quo = modules[i].presentation.quotient
-        perm = modules[i].swap
+        quo = presentations[i].quotient
         for m in monomials(d, i - d):
             x = fixed_element_x(d, i, m)
             rep = quo.reduce_bits(x)
@@ -132,8 +139,7 @@ def _check_fixed_element(d: int, modules) -> CheckEntry:
                     f"fixed-element d={d}", False,
                     f"representative dies in degree {i} at mask {m}",
                 )
-            swapped = from_indices(perm[b] for b in bit_indices(x))
-            if quo.reduce_bits(swapped) != rep:
+            if quo.reduce_bits(_swapped_fixed_element(d, i, m)) != rep:
                 return CheckEntry(
                     f"fixed-element d={d}", False,
                     f"coset not swap-fixed in degree {i} at mask {m}",
@@ -158,6 +164,15 @@ def _multiplicative_on(d, transposes, a_deg, a_idx, b_deg, b_idx) -> bool:
     return lhs == rhs
 
 
+def _sampled_pairs(d: int):
+    rng = random.Random(_SAMPLE_SEED)
+    for _ in range(_SAMPLE_PAIRS):
+        a_deg = rng.randint(0, 2 * d)
+        b_deg = rng.randint(0, 2 * d - a_deg)
+        a_idx = rng.randrange(total_dim(d, a_deg))
+        yield a_deg, a_idx, b_deg, rng.randrange(total_dim(d, b_deg))
+
+
 def _check_phi_star(d: int) -> CheckEntry:
     ps = phi_star_build(d)
     for i in range(2 * d + 1):
@@ -168,34 +183,27 @@ def _check_phi_star(d: int) -> CheckEntry:
             )
     transposes = [m.transpose() for m in ps.matrices]
     if d <= 4:
-        pairs = 0
-        for a_deg in range(2 * d + 1):
-            for b_deg in range(2 * d + 1 - a_deg):
-                for a_idx in range(total_dim(d, a_deg)):
-                    for b_idx in range(total_dim(d, b_deg)):
-                        if not _multiplicative_on(
-                            d, transposes, a_deg, a_idx, b_deg, b_idx
-                        ):
-                            return CheckEntry(
-                                f"phi-star-laws d={d}", False,
-                                f"product law fails in degrees ({a_deg}, {b_deg})",
-                            )
-                        pairs += 1
-        detail = f"involutive; product law exhaustive over {pairs} pairs"
+        how = "exhaustive over"
+        pairs = (
+            (a_deg, a_idx, b_deg, b_idx)
+            for a_deg in range(2 * d + 1)
+            for b_deg in range(2 * d + 1 - a_deg)
+            for a_idx in range(total_dim(d, a_deg))
+            for b_idx in range(total_dim(d, b_deg))
+        )
     else:
-        rng = random.Random(_SAMPLE_SEED)
-        for _ in range(_SAMPLE_PAIRS):
-            a_deg = rng.randint(0, 2 * d)
-            b_deg = rng.randint(0, 2 * d - a_deg)
-            a_idx = rng.randrange(total_dim(d, a_deg))
-            b_idx = rng.randrange(total_dim(d, b_deg))
-            if not _multiplicative_on(d, transposes, a_deg, a_idx, b_deg, b_idx):
-                return CheckEntry(
-                    f"phi-star-laws d={d}", False,
-                    f"product law fails in degrees ({a_deg}, {b_deg})",
-                )
-        detail = f"involutive; product law sampled on {_SAMPLE_PAIRS} pairs"
-    return CheckEntry(f"phi-star-laws d={d}", True, detail)
+        how, pairs = "sampled on", _sampled_pairs(d)
+    count = 0
+    for a_deg, a_idx, b_deg, b_idx in pairs:
+        if not _multiplicative_on(d, transposes, a_deg, a_idx, b_deg, b_idx):
+            return CheckEntry(
+                f"phi-star-laws d={d}", False,
+                f"product law fails in degrees ({a_deg}, {b_deg})",
+            )
+        count += 1
+    return CheckEntry(
+        f"phi-star-laws d={d}", True, f"involutive; product law {how} {count} pairs"
+    )
 
 
 def _check_fixture_consistency(d: int) -> CheckEntry:
@@ -269,21 +277,18 @@ def run_checks(
 
     for d in range(1, dmax + 1):
         run(f"torus-oracle d={d}", lambda d=d: _check_torus_oracle(d))
-        modules = {i: conf_module(d, i) for i in range(2 * d + 1)}
-        decs = {i: decompose(m) for i, m in modules.items()}
+        kps, decs = {}, {}  # each degree's presentation and decomposition
+        for i in range(2 * d + 1):
+            module = conf_module(d, i)
+            kps[i], decs[i] = module.presentation, decompose(module)
+            del module  # its swap goes before the next degree is built
         run(f"conf-oracle d={d}", lambda d=d, decs=decs: _check_conf_oracle(d, decs))
         run(f"poincare-identity d={d}", lambda d=d, decs=decs: _check_poincare(d, decs))
-        run(
-            f"kernel-span d={d}",
-            lambda d=d, modules=modules: _check_kernel_span(d, modules),
-        )
-        run(
-            f"fixed-element d={d}",
-            lambda d=d, modules=modules: _check_fixed_element(d, modules),
-        )
+        run(f"kernel-span d={d}", lambda d=d, kps=kps: _check_kernel_span(d, kps))
+        run(f"fixed-element d={d}", lambda d=d, kps=kps: _check_fixed_element(d, kps))
         if d <= 5:
             run(f"phi-star-laws d={d}", lambda d=d: _check_phi_star(d))
-        del modules, decs
+        del kps, decs
     for d in (2, 3):
         if d <= dmax:
             run(

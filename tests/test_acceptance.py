@@ -117,8 +117,8 @@ def test_criterion_06_shear_pullback_laws():
 
 def test_criterion_07_fixed_elements():
     for d in range(1, DMAX + 1):
-        modules = {i: conf_module(d, i) for i in range(d, 2 * d)}
-        entry = _check_fixed_element(d, modules)
+        presentations = {i: conf_module(d, i).presentation for i in range(d, 2 * d)}
+        entry = _check_fixed_element(d, presentations)
         assert entry.passed, entry
     _passed(7, "fixed elements d<=8")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from torusconf import cli
+from torusconf import cli, quotient, torus
 from torusconf.cli import main, module_label
 
 
@@ -34,10 +34,18 @@ def test_compute_d3_i4(capsys):
     assert payload["published"]["integral"]
 
 
-def test_compute_zero_module(capsys):
-    code, doc = run_json(capsys, "compute", "--d", "1", "--i", "5")
-    assert code == 0
-    assert doc["payload"]["dim"] == 0
+def test_compute_zero_module(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module above degree 2d must not build the swap")
+
+    # at d = 40 the swap's tables would have 2^40 entries, so fail fast
+    # instead of hanging if the empty module stops being a shortcut
+    monkeypatch.setattr(torus, "swap_permutation", refuse)
+    monkeypatch.setattr(quotient, "swap_permutation", refuse)
+    for d, i in (("1", "5"), ("40", "100")):
+        code, doc = run_json(capsys, "compute", "--d", d, "--i", i)
+        assert code == 0
+        assert doc["payload"]["dim"] == 0
 
 
 def test_compute_flags_non_integral_published_count(capsys):
@@ -176,7 +184,7 @@ def test_check_caps_dmax(capsys, monkeypatch):
     # a sweep past the cap has not been measured to fit in memory, so never
     # let one run here
     monkeypatch.setattr(cli, "run_checks", refuse)
-    for dmax in ("13", "14"):
+    for dmax in ("14", "15"):
         code, _, err = run_cli(capsys, "check", "--dmax", dmax)
         assert code == 2
         assert "--force" in err

@@ -19,25 +19,21 @@ from torusconf.gf2 import (
     quotient_structure,
     rank,
 )
-from torusconf.quotient import KernelPresentation, conf_module
+from torusconf.quotient import conf_module
 from torusconf.torus import (
     Decomposition,
+    KernelPresentation,
     Sigma2Module,
     sigma_matrix,
     torus_module,
 )
 
 
-def module(perm, relations=None):
+def module(perm, relations=()):
     """A module on len(perm) coordinates swapped by ``perm``, modulo the span
-    of ``relations`` when given."""
-    n = len(perm)
-    pres = None
-    dim = n
-    if relations is not None:
-        pres = KernelPresentation(0, 0, tuple(relations), quotient_structure(n, relations))
-        dim = pres.quotient.dim
-    return Sigma2Module(dim, tuple(perm), presentation=pres)
+    of ``relations``."""
+    pres = KernelPresentation(tuple(relations), quotient_structure(len(perm), relations))
+    return Sigma2Module(tuple(perm), pres)
 
 
 def permutation_matrix(perm):
@@ -79,6 +75,12 @@ def test_decompose_rejects_non_involution():
             decompose(module(perm))
 
 
+def test_module_rejects_swap_of_wrong_length():
+    pres = KernelPresentation((), quotient_structure(2, ()))
+    with pytest.raises(ValueError, match="ambient"):
+        Sigma2Module((0,), pres)
+
+
 def test_decompose_rejects_unstable_kernel():
     # the swap sends the relation e0 to e1, which is not a relation
     with pytest.raises(SubspaceNotPreservedError):
@@ -92,8 +94,7 @@ def test_decompose_matches_dense_oracle_exhaustive():
             assert decompose(torus_module(d, i)) == dense_decompose(sigma), (d, i)
             if i < 2 * d:
                 m = conf_module(d, i)
-                quotient = None if m.presentation is None else m.presentation.quotient
-                assert decompose(m) == dense_decompose(sigma, quotient), (d, i)
+                assert decompose(m) == dense_decompose(sigma, m.presentation.quotient), (d, i)
 
 
 @st.composite

@@ -20,6 +20,7 @@ from torusconf.torus import (
     monomials,
     sigma_matrix,
     swap_permutation,
+    torus_module,
     total_dim,
 )
 
@@ -219,10 +220,14 @@ def test_conf_module_dims():
 
 
 def test_conf_module_below_d_is_torus():
-    m = conf_module(3, 2)
-    assert m.presentation is None
-    assert m.dim == total_dim(3, 2)
-    assert m.swap == swap_permutation(3, 2)
+    # the same swap and no relations
+    for d in range(1, 5):
+        for i in range(d):
+            m = conf_module(d, i)
+            assert m == torus_module(d, i)
+            assert m.presentation.generators == ()
+            assert m.dim == total_dim(d, i)
+            assert m.swap == swap_permutation(d, i)
 
 
 def test_conf_dim_formula():
@@ -243,9 +248,7 @@ def test_conf_module_sigma_is_involution():
     for d in range(1, 5):
         for i in range(2 * d):
             m = conf_module(d, i)
-            s = sigma_matrix(d, i)
-            if m.presentation is not None:
-                s = induced_map_on_quotient(s, m.presentation.quotient)
+            s = induced_map_on_quotient(sigma_matrix(d, i), m.presentation.quotient)
             assert s @ s == Gf2Matrix.identity(m.dim)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from torusconf import torus
 from torusconf.decomp import decompose
 from torusconf.gf2 import Gf2Matrix
 from torusconf.torus import (
@@ -212,3 +213,14 @@ def test_decomposition_validation():
     with pytest.raises(ValueError):
         Decomposition(2, -2, 2)
 
+
+
+def test_torus_module_outside_degrees_is_empty(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty degree must not build a 2^d-entry table")
+
+    # at d = 40 the tables would have 2^40 entries, so fail fast
+    monkeypatch.setattr(torus, "_offsets", refuse)
+    monkeypatch.setattr(torus, "_positions", refuse)
+    for i in (-1, 81, 100):
+        assert decompose(torus_module(40, i)) == Decomposition(0, 0, 0)

@@ -1,4 +1,7 @@
-from torusconf.verify import poincare_product, run_checks
+from torusconf.gf2 import bit_indices, from_indices
+from torusconf.quotient import fixed_element_x
+from torusconf.torus import monomials, swap_permutation
+from torusconf.verify import _swapped_fixed_element, poincare_product, run_checks
 
 
 def test_poincare_product_small():
@@ -37,3 +40,15 @@ def test_run_checks_rejects_bad_dmax():
 
     with pytest.raises(ValueError):
         run_checks(0)
+
+
+def test_swapped_fixed_element_matches_the_swap_permutation():
+    # the fixed-element check ranks the swapped kept terms itself; the swap
+    # permutation applied to fixed_element_x is the independent reading
+    for d in range(1, 7):
+        for i in range(d, 2 * d):
+            perm = swap_permutation(d, i)
+            for m in monomials(d, i - d):
+                x = fixed_element_x(d, i, m)
+                expected = from_indices(perm[b] for b in bit_indices(x))
+                assert _swapped_fixed_element(d, i, m) == expected, (d, i, m)
