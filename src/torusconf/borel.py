@@ -174,9 +174,9 @@ class UconfModule:
         return tuple(dims)
 
 
-# Degree-2 tails for d = 2: the published list says truncation 3, but the
-# limit-page table (and vanishing of top cohomology of an open 4-manifold)
-# forces truncation 2. Both readings are available; checks report both.
+# Degree-2 tails for d = 2: the published truncation 3 gives graded dims
+# (1, 3, 4, 2, 2), but the limit-page table (and vanishing of top cohomology of
+# an open 4-manifold) forces the stored truncation 2, giving (1, 3, 4, 2, 0).
 _UCONF = {
     2: (
         AlphaModuleSummand(0, 3, 1),
@@ -196,18 +196,11 @@ _UCONF = {
 }
 
 
-def uconf_fixture(d: int, as_published: bool = False) -> UconfModule:
-    """Summand list for d in {2, 3}; as_published keeps the printed d = 2
-    truncation 3 instead of the corrected 2."""
+def uconf_fixture(d: int) -> UconfModule:
+    """Summand list for d in {2, 3}, with the corrected d = 2 truncation 2."""
     if d not in _UCONF:
         raise ValueError("module structure is stored only for d in {2, 3}")
-    summands = _UCONF[d]
-    if as_published and d == 2:
-        summands = tuple(
-            replace(s, truncation=3) if s == AlphaModuleSummand(2, 2, 2) else s
-            for s in summands
-        )
-    return UconfModule(d, summands)
+    return UconfModule(d, _UCONF[d])
 
 
 @dataclass(frozen=True)
@@ -255,7 +248,6 @@ class CheckEntry:
 class ConsistencyReport:
     d: int
     results: tuple[CheckEntry, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -404,13 +396,4 @@ def consistency_check(d: int) -> ConsistencyReport:
     except ValueError as exc:
         ok, detail = False, str(exc)
     results.append(CheckEntry("rank-drop-attribution", ok, detail))
-
-    notes = ()
-    if d == 2:
-        published = uconf_fixture(2, as_published=True).graded_dims(5)
-        corrected = uconf_fixture(2).graded_dims(5)
-        notes = (
-            "d=2 degree-2 tails: published truncation 3 gives graded dims "
-            f"{published}; the limit page forces truncation 2, giving {corrected}",
-        )
-    return ConsistencyReport(d, tuple(results), notes)
+    return ConsistencyReport(d, tuple(results))

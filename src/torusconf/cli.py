@@ -25,9 +25,8 @@ from .torus import Decomposition
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-# check --dmax 13 took 128 s and peaked at 1.1 GB of RSS, most of it the
-# kernel rows of every degree; d = 14 has not been measured.
-DMAX_CAP = 13
+# check --dmax 14: 632 s, 2.3 GB peak RSS (one degree's module); 15 not run.
+DMAX_CAP = 14
 # ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
 # is far above the default 2d + 2 for every d up to DMAX_CAP.
 PMAX_CAP = 1000

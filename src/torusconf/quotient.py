@@ -19,6 +19,7 @@ from .torus import (
     KernelPresentation,
     Sigma2Module,
     binom,
+    free_module,
     kunneth_basis,
     kunneth_index,
     monomials,
@@ -104,7 +105,7 @@ def conf_module(d: int, i: int) -> Sigma2Module:
     if d < 0:
         raise ValueError("d must be nonnegative")
     if not 0 <= i < 2 * d:
-        return Sigma2Module((), KernelPresentation((), quotient_structure(0, ())))
+        return free_module(())
     kp = kernel_generators(d, i)  # row-reduced before the swap is built
     return Sigma2Module(swap_permutation(d, i), kp)
 

@@ -193,10 +193,14 @@ class Sigma2Module:
         return self.presentation.quotient.dim
 
 
+def free_module(swap: tuple[int, ...]) -> Sigma2Module:
+    """The permutation module of ``swap``: no relations."""
+    return Sigma2Module(swap, KernelPresentation((), quotient_structure(len(swap), ())))
+
+
 def torus_module(d: int, i: int) -> Sigma2Module:
     """H^i of the square of T^d with the swap involution, on the tensor basis."""
-    free = KernelPresentation((), quotient_structure(total_dim(d, i), ()))
-    return Sigma2Module(swap_permutation(d, i), free)
+    return free_module(swap_permutation(d, i))
 
 
 def torus_closed_form(d: int, i: int) -> Decomposition:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .borel import CheckEntry, consistency_check, sw_height
@@ -22,7 +23,7 @@ from .decomp import (
     published_closed_form,
     reduced_table,
 )
-from .gf2 import Gf2Matrix, from_indices
+from .gf2 import Gf2Matrix, QuotientBasis, from_indices
 from .quotient import (
     conf_module,
     fixed_element_terms,
@@ -34,6 +35,7 @@ from .torus import (
     binom,
     cup,
     cup_vector,
+    free_module,
     kunneth_basis,
     kunneth_index,
     monomials,
@@ -70,28 +72,63 @@ def poincare_product(d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_torus_oracle(d: int) -> CheckEntry:
-    for i in range(2 * d + 2):
-        if decompose(torus_module(d, i)) != torus_closed_form(d, i):
-            return CheckEntry(
-                f"torus-oracle d={d}", False, f"mismatch in degree {i}"
-            )
-    return CheckEntry(
-        f"torus-oracle d={d}", True, f"degrees 0..{2 * d + 1} match the closed form"
+def _attempt(make: Callable[[], object]) -> object:
+    try:
+        return make()
+    except Exception as exc:  # fails the check that reads it, not the suite
+        return exc.with_traceback(None)  # the traceback would keep the module
+
+
+def _read(fact):  # a fact whose work raised raises again in its check
+    if isinstance(fact, Exception):
+        raise fact
+    return fact
+
+
+def _fixed_cosets(d: int, i: int, quo: QuotientBasis) -> int | str:
+    """The count of nonzero swap-fixed cosets, or the first failure's detail."""
+    checked = 0
+    for m in monomials(d, i - d):
+        rep = quo.reduce_bits(fixed_element_x(d, i, m))
+        if rep == 0:
+            return f"representative dies in degree {i} at mask {m}"
+        if quo.reduce_bits(_swapped_fixed_element(d, i, m)) != rep:
+            return f"coset not swap-fixed in degree {i} at mask {m}"
+        checked += 1
+    return checked
+
+
+def _degree(d: int, i: int) -> tuple:
+    """Build conf_module(d, i) once and record what the checks read of it:
+    decompositions without and with relations, generator count and span
+    dim, fixed-element outcome. The module goes when this returns."""
+    module = conf_module(d, i)
+    kp = module.presentation
+    return (
+        # from degree 2d on conf_module is the empty shortcut
+        _attempt(lambda: decompose(
+            torus_module(d, i) if i >= 2 * d else free_module(module.swap)
+        )),
+        _attempt(lambda: decompose(module)),
+        (len(kp.generators), kp.span_dim),
+        _attempt(lambda: _fixed_cosets(d, i, kp.quotient)) if i < 2 * d else None,
     )
 
 
-def _check_conf_oracle(d: int, decs) -> CheckEntry:
-    for i, dec in decs.items():
-        if dec != conf_closed_form(d, i):
-            return CheckEntry(f"conf-oracle d={d}", False, f"mismatch in degree {i}")
-    return CheckEntry(
-        f"conf-oracle d={d}", True, f"degrees 0..{2 * d} match the closed form"
-    )
+def _sweep(d: int) -> tuple[tuple, ...]:
+    """Each fact of _degree over degrees 0..2d+1, one module alive at a time."""
+    return tuple(zip(*(_degree(d, i) for i in range(2 * d + 2))))
+
+
+def _check_oracle(name: str, decs, closed_form: Callable) -> CheckEntry:
+    for i, dec in enumerate(decs):
+        if _read(dec) != closed_form(i):
+            return CheckEntry(name, False, f"mismatch in degree {i}")
+    return CheckEntry(name, True, f"degrees 0..{len(decs) - 1} match the closed form")
 
 
 def _check_poincare(d: int, decs) -> CheckEntry:
-    dims = tuple(decs[i].dim for i in range(2 * d + 1))
+    dims = tuple(_read(dec).dim for dec in decs)
     product = poincare_product(d)
     ok = dims == product
     return CheckEntry(
@@ -100,18 +137,17 @@ def _check_poincare(d: int, decs) -> CheckEntry:
     )
 
 
-def _check_kernel_span(d: int, presentations) -> CheckEntry:
+def _check_kernel_span(d: int, kernels) -> CheckEntry:
     for i in range(d, 2 * d):
-        kp = presentations[i]
+        count, span_dim = kernels[i]
         expected = binom(d, i - d)
-        if len(kp.generators) != expected or kp.span_dim != expected:
+        if count != expected or span_dim != expected:
             return CheckEntry(
                 f"kernel-span d={d}", False,
-                f"degree {i}: span dim {kp.span_dim}, expected {expected}",
+                f"degree {i}: span dim {span_dim}, expected {expected}",
             )
     if d <= 6:
-        top = kernel_generators(d, 2 * d)
-        if top.span_dim != total_dim(d, 2 * d):
+        if kernel_generators(d, 2 * d).span_dim != total_dim(d, 2 * d):
             return CheckEntry(
                 f"kernel-span d={d}", False, "top degree is not exhausted"
             )
@@ -127,28 +163,15 @@ def _swapped_fixed_element(d: int, i: int, m: int) -> int:
     )
 
 
-def _check_fixed_element(d: int, presentations) -> CheckEntry:
+def _check_fixed_element(d: int, outcomes) -> CheckEntry:
     checked = 0
     for i in range(d, 2 * d):
-        quo = presentations[i].quotient
-        for m in monomials(d, i - d):
-            x = fixed_element_x(d, i, m)
-            rep = quo.reduce_bits(x)
-            if rep == 0:
-                return CheckEntry(
-                    f"fixed-element d={d}", False,
-                    f"representative dies in degree {i} at mask {m}",
-                )
-            if quo.reduce_bits(_swapped_fixed_element(d, i, m)) != rep:
-                return CheckEntry(
-                    f"fixed-element d={d}", False,
-                    f"coset not swap-fixed in degree {i} at mask {m}",
-                )
-            checked += 1
-    return CheckEntry(
-        f"fixed-element d={d}", True,
-        f"{checked} cosets nonzero and swap-fixed",
-    )
+        outcome = _read(outcomes[i])
+        if isinstance(outcome, str):
+            return CheckEntry(f"fixed-element d={d}", False, outcome)
+        checked += outcome
+    detail = f"{checked} cosets nonzero and swap-fixed"
+    return CheckEntry(f"fixed-element d={d}", True, detail)
 
 
 def _multiplicative_on(d, transposes, a_deg, a_idx, b_deg, b_idx) -> bool:
@@ -228,19 +251,15 @@ def _check_sw_height(dmax: int) -> CheckEntry:
 
 
 def _notes(dmax: int) -> tuple[str, ...]:
-    notes = []
-    if dmax >= 1:
-        red = reduced_table(1)
-        notes.append(
-            "published reduced table for d=1 lists a regular summand in degree 1; "
-            f"the degree-1 module is {red[1].dim}-dimensional "
-            f"({red[1].trivial} trivial), so the published cell cannot fit: "
-            "reported, not a failure"
-        )
+    red = reduced_table(1)
+    notes = [
+        "published reduced table for d=1 lists a regular summand in degree 1; "
+        f"the degree-1 module is {red[1].dim}-dimensional "
+        f"({red[1].trivial} trivial), so the published cell cannot fit: "
+        "reported, not a failure"
+    ]
     for d in range(1, dmax + 1):
-        for i in range(d, 2 * d):
-            if i % 2 == 0:
-                continue
+        for i in range(d | 1, 2 * d, 2):  # the odd degrees from d on
             _, pr = published_closed_form(d, i)
             if pr.denominator != 1:
                 corrected = conf_closed_form(d, i)
@@ -265,10 +284,10 @@ def run_checks(
         raise ValueError("dmax must be at least 1")
     entries: list[CheckEntry] = []
 
-    def run(name: str, make: Callable[[], CheckEntry]) -> None:
+    def run(name: str, check: Callable[..., CheckEntry], *args) -> None:
         start = time.perf_counter()
         try:
-            entry = make()
+            entry = check(*args)
         except Exception as exc:  # a crash is a failed check, not a crashed suite
             entry = CheckEntry(name, False, f"raised {exc!r}")
         entries.append(entry)
@@ -276,26 +295,20 @@ def run_checks(
             progress(entry, time.perf_counter() - start)
 
     for d in range(1, dmax + 1):
-        run(f"torus-oracle d={d}", lambda d=d: _check_torus_oracle(d))
-        kps, decs = {}, {}  # each degree's presentation and decomposition
-        for i in range(2 * d + 1):
-            module = conf_module(d, i)
-            kps[i], decs[i] = module.presentation, decompose(module)
-            del module  # its swap goes before the next degree is built
-        run(f"conf-oracle d={d}", lambda d=d, decs=decs: _check_conf_oracle(d, decs))
-        run(f"poincare-identity d={d}", lambda d=d, decs=decs: _check_poincare(d, decs))
-        run(f"kernel-span d={d}", lambda d=d, kps=kps: _check_kernel_span(d, kps))
-        run(f"fixed-element d={d}", lambda d=d, kps=kps: _check_fixed_element(d, kps))
+        torus, conf, kernels, fixed = _sweep(d)
+        conf = conf[:-1]  # degrees 0..2d
+        name = f"torus-oracle d={d}"
+        run(name, _check_oracle, name, torus, partial(torus_closed_form, d))
+        name = f"conf-oracle d={d}"
+        run(name, _check_oracle, name, conf, partial(conf_closed_form, d))
+        run(f"poincare-identity d={d}", _check_poincare, d, conf)
+        run(f"kernel-span d={d}", _check_kernel_span, d, kernels)
+        run(f"fixed-element d={d}", _check_fixed_element, d, fixed)
         if d <= 5:
-            run(f"phi-star-laws d={d}", lambda d=d: _check_phi_star(d))
-        del kps, decs
-    for d in (2, 3):
-        if d <= dmax:
-            run(
-                f"fixture-consistency d={d}",
-                lambda d=d: _check_fixture_consistency(d),
-            )
+            run(f"phi-star-laws d={d}", _check_phi_star, d)
+    for d in range(2, min(dmax, 3) + 1):
+        run(f"fixture-consistency d={d}", _check_fixture_consistency, d)
     if dmax >= 2:
-        run("sw-height", lambda: _check_sw_height(dmax))
+        run("sw-height", _check_sw_height, dmax)
 
     return SuiteResult(dmax, tuple(entries), _notes(dmax))

@@ -19,9 +19,8 @@ from torusconf.borel import (
     uconf_fixture,
 )
 from torusconf.decomp import closed_form_report, decompose, reduced_table
-from torusconf.quotient import conf_module
 from torusconf.torus import Decomposition, torus_closed_form, torus_module
-from torusconf.verify import _check_fixed_element, _check_phi_star
+from torusconf.verify import _check_fixed_element, _check_phi_star, _sweep
 
 DMAX = 8
 
@@ -117,8 +116,8 @@ def test_criterion_06_shear_pullback_laws():
 
 def test_criterion_07_fixed_elements():
     for d in range(1, DMAX + 1):
-        presentations = {i: conf_module(d, i).presentation for i in range(d, 2 * d)}
-        entry = _check_fixed_element(d, presentations)
+        *_, fixed = _sweep(d)
+        entry = _check_fixed_element(d, fixed)
         assert entry.passed, entry
     _passed(7, "fixed elements d<=8")
 

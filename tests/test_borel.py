@@ -126,10 +126,6 @@ def test_uconf_top_degree_vanishes_d2():
     assert uconf_fixture(2).graded_dims(4)[4] == 0
 
 
-def test_uconf_published_reading_d2():
-    assert uconf_fixture(2, as_published=True).graded_dims(4) == (1, 3, 4, 2, 2)
-
-
 def test_uconf_unsupported():
     with pytest.raises(ValueError):
         uconf_fixture(4)
@@ -171,11 +167,6 @@ def test_consistency_passes():
             "entrywise-monotone",
             "rank-drop-attribution",
         ]
-
-
-def test_consistency_note_lists_both_readings():
-    report = consistency_check(2)
-    assert any("truncation" in note for note in report.notes)
 
 
 def test_consistency_unsupported():

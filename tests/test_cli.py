@@ -184,7 +184,7 @@ def test_check_caps_dmax(capsys, monkeypatch):
     # a sweep past the cap has not been measured to fit in memory, so never
     # let one run here
     monkeypatch.setattr(cli, "run_checks", refuse)
-    for dmax in ("14", "15"):
+    for dmax in ("15", "16"):
         code, _, err = run_cli(capsys, "check", "--dmax", dmax)
         assert code == 2
         assert "--force" in err

@@ -1,3 +1,7 @@
+import sys
+from collections import Counter
+
+from torusconf import torus, verify
 from torusconf.gf2 import bit_indices, from_indices
 from torusconf.quotient import fixed_element_x
 from torusconf.torus import monomials, swap_permutation
@@ -52,3 +56,39 @@ def test_swapped_fixed_element_matches_the_swap_permutation():
                 x = fixed_element_x(d, i, m)
                 expected = from_indices(perm[b] for b in bit_indices(x))
                 assert _swapped_fixed_element(d, i, m) == expected, (d, i, m)
+
+
+def test_run_checks_builds_each_swap_once(monkeypatch):
+    # one sweep per d: the torus oracle decomposes the relation-free module
+    # on the swap that conf_module built, so no (d, i) swap is built twice
+    built = Counter()
+    original = torus.swap_permutation
+
+    def counted(d, i):
+        built[d, i] += 1
+        return original(d, i)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("torusconf") and (
+            getattr(module, "swap_permutation", None) is original
+        ):
+            monkeypatch.setattr(module, "swap_permutation", counted)
+    assert run_checks(4).passed
+    assert [built[4, i] for i in range(10)] == [1] * 10
+
+
+def test_raise_in_degree_work_fails_only_its_check(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken fixed element")
+
+    monkeypatch.setattr(verify, "fixed_element_x", broken)
+    seen = []
+    suite = run_checks(2, progress=lambda entry, seconds: seen.append(entry))
+    assert seen == list(suite.entries)
+    for entry in suite.entries:
+        if entry.name.startswith("fixed-element d="):
+            assert not entry.passed
+            assert entry.detail.startswith("raised RuntimeError(")
+        else:
+            assert entry.passed, entry
+    assert sum(not e.passed for e in suite.entries) == 2
