@@ -244,16 +244,6 @@ class CheckEntry:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    d: int
-    results: tuple[CheckEntry, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
 def attribute_rank_drops(
     src: SSPage, dst: SSPage, allowed_r: tuple[int, ...]
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -331,9 +321,9 @@ def attribute_rank_drops(
     return (True, None) if ok else (False, fail[0] if fail else None)
 
 
-def consistency_check(d: int) -> ConsistencyReport:
+def consistency_check(d: int) -> tuple[CheckEntry, ...]:
     """Cross-validate the computed second page, the stored later pages and
-    the graded module structure for d in {2, 3}."""
+    the graded module structure for d in {2, 3}: four named outcomes."""
     if d not in (2, 3):
         raise ValueError("consistency data exists only for d in {2, 3}")
     fix2 = fixture_page(d, 2)
@@ -396,4 +386,4 @@ def consistency_check(d: int) -> ConsistencyReport:
     except ValueError as exc:
         ok, detail = False, str(exc)
     results.append(CheckEntry("rank-drop-attribution", ok, detail))
-    return ConsistencyReport(d, tuple(results))
+    return tuple(results)

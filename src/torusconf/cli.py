@@ -26,6 +26,8 @@ from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
 # check --dmax 14: 632 s, 2.3 GB peak RSS (one degree's module); 15 not run.
+# The same cap, with no override, bounds --d of table, poincare, ss --page 2
+# and compute below degree 2d (from 2d on the module is zero and free).
 DMAX_CAP = 14
 # ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
 # is far above the default 2d + 2 for every d up to DMAX_CAP.
@@ -65,13 +67,14 @@ def module_label(trivial: int, regular: int, fmt: str) -> str:
     return " + ".join(parts)
 
 
-def _document(command: str, parameters: dict, payload: dict) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "payload": payload,
-        "version": __version__,
-    }
+def _refuse(message: str) -> int:
+    """Report a usage error on stderr; the exit code is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _over_cap(d: int) -> str:
+    return f"d {d} exceeds the cap {DMAX_CAP} (degree spaces grow like C(2d, d))"
 
 
 def _render(doc: dict, headers: list[str], rows: list[list], fmt: str) -> str:
@@ -104,11 +107,25 @@ def _render(doc: dict, headers: list[str], rows: list[list], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _output(
+    args: argparse.Namespace,
+    parameters: dict,
+    payload: dict,
+    headers: list[str],
+    rows: list[list],
+) -> None:
+    """Render the command's document and write it to stdout or ``--out``."""
+    doc = {
+        "command": args.command,
+        "parameters": {**parameters, "format": args.format},
+        "payload": payload,
+        "version": __version__,
+    }
+    text = _render(doc, headers, rows, args.format)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -118,6 +135,8 @@ def _decomposition_row(i: int, dec: Decomposition, fmt: str) -> list:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    if args.d > DMAX_CAP and args.i < 2 * args.d:
+        return _refuse(_over_cap(args.d))
     report = closed_form_report(args.d, args.i)
     brute = report.brute
     payload = {
@@ -138,14 +157,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         },
         "agreement": brute == report.corrected,
     }
-    doc = _document(
-        "compute",
-        {"d": args.d, "i": args.i, "format": args.format},
-        payload,
-    )
     headers = ["d", "i", "dim", "trivial", "regular", "module"]
     rows = [[args.d] + _decomposition_row(args.i, brute, args.format)]
-    _emit(_render(doc, headers, rows, args.format), args.out)
+    _output(args, {"d": args.d, "i": args.i}, payload, headers, rows)
     if not payload["agreement"]:
         print(
             f"error: brute force and corrected closed form disagree at "
@@ -158,8 +172,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.reduced and args.d < 1:
-        print("error: the reduced table requires d >= 1", file=sys.stderr)
-        return 2
+        return _refuse("the reduced table requires d >= 1")
+    if args.d > DMAX_CAP:
+        return _refuse(_over_cap(args.d))
     decs = conf_table(args.d)
     table_rows = list(enumerate(reduced(decs) if args.reduced else decs))
     payload = {
@@ -170,21 +185,17 @@ def cmd_table(args: argparse.Namespace) -> int:
             for i, dec in table_rows
         ],
     }
-    doc = _document(
-        "table",
-        {"d": args.d, "reduced": args.reduced, "format": args.format},
-        payload,
-    )
     headers = ["i", "dim", "trivial", "regular", "module"]
     rows = [_decomposition_row(i, dec, args.format) for i, dec in table_rows]
-    _emit(_render(doc, headers, rows, args.format), args.out)
+    _output(args, {"d": args.d, "reduced": args.reduced}, payload, headers, rows)
     return 0
 
 
 def cmd_ss(args: argparse.Namespace) -> int:
     if args.pmax is not None and args.pmax > PMAX_CAP:
-        print(f"error: pmax {args.pmax} exceeds the cap {PMAX_CAP}", file=sys.stderr)
-        return 2
+        return _refuse(f"pmax {args.pmax} exceeds the cap {PMAX_CAP}")
+    if args.page == "2" and args.d > DMAX_CAP:
+        return _refuse(_over_cap(args.d))
     pmax = args.pmax if args.pmax is not None else 2 * args.d + 2
     try:
         if args.page == "2":
@@ -192,8 +203,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
         else:
             page = fixture_page(args.d, args.page).with_pmax(pmax)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(str(exc))
     payload = {
         "d": page.d,
         "page": page.page_label if page.page is None else page.page,
@@ -209,25 +219,19 @@ def cmd_ss(args: argparse.Namespace) -> int:
             for q in range(page.qmax + 1)
         ],
     }
-    doc = _document(
-        "ss",
-        {"d": args.d, "page": args.page, "pmax": pmax, "format": args.format},
-        payload,
-    )
     headers = ["q"] + [f"p={p}" for p in range(page.pmax + 1)]
     rows = [[q, *page.rows[q]] for q in range(page.qmax + 1)]
-    _emit(_render(doc, headers, rows, args.format), args.out)
+    parameters = {"d": args.d, "page": args.page, "pmax": pmax}
+    _output(args, parameters, payload, headers, rows)
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.dmax > DMAX_CAP and not args.force:
-        print(
-            f"error: dmax {args.dmax} exceeds the default cap {DMAX_CAP} "
-            "(degree spaces grow like C(2d, d)); pass --force to override",
-            file=sys.stderr,
+        return _refuse(
+            f"dmax {args.dmax} exceeds the default cap {DMAX_CAP} "
+            "(degree spaces grow like C(2d, d)); pass --force to override"
         )
-        return 2
     if args.dmax > DMAX_CAP:
         print(
             f"warning: dmax {args.dmax} above {DMAX_CAP}; this may take long",
@@ -248,18 +252,17 @@ def cmd_check(args: argparse.Namespace) -> int:
         ],
         "notes": list(suite.notes),
     }
-    doc = _document(
-        "check", {"dmax": args.dmax, "format": args.format}, payload
-    )
     headers = ["check", "status", "detail"]
     rows = [
         [e.name, "pass" if e.passed else "fail", e.detail] for e in suite.entries
     ]
-    _emit(_render(doc, headers, rows, args.format), args.out)
+    _output(args, {"dmax": args.dmax}, payload, headers, rows)
     return 0 if suite.passed else 1
 
 
 def cmd_poincare(args: argparse.Namespace) -> int:
+    if args.d > DMAX_CAP:
+        return _refuse(_over_cap(args.d))
     coefficients = [dec.dim for dec in conf_table(args.d)]
     product = list(poincare_product(args.d))
     payload = {
@@ -269,12 +272,9 @@ def cmd_poincare(args: argparse.Namespace) -> int:
         "product_coefficients": product,
         "agreement": coefficients == product,
     }
-    doc = _document(
-        "poincare", {"d": args.d, "format": args.format}, payload
-    )
     headers = ["i", "dim", "product coefficient"]
     rows = [[i, coefficients[i], product[i]] for i in range(2 * args.d + 1)]
-    _emit(_render(doc, headers, rows, args.format), args.out)
+    _output(args, {"d": args.d}, payload, headers, rows)
     return 0 if payload["agreement"] else 1
 
 

@@ -18,7 +18,6 @@ from .gf2 import Gf2Matrix, from_indices, quotient_structure, submasks
 from .torus import (
     KernelPresentation,
     Sigma2Module,
-    binom,
     free_module,
     kunneth_basis,
     kunneth_index,
@@ -87,13 +86,6 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
         for m in monomials(d, i - d)
     )
     return KernelPresentation(gens, quotient_structure(total_dim(d, i), gens))
-
-
-def conf_dim(d: int, i: int) -> int:
-    """dim H^i of the configuration space: C(2d, i) - C(d, i-d), zero from 2d on."""
-    if i < 0 or i >= 2 * d:
-        return 0
-    return binom(2 * d, i) - binom(d, i - d)
 
 
 def conf_module(d: int, i: int) -> Sigma2Module:

@@ -146,11 +146,8 @@ def _check_kernel_span(d: int, kernels) -> CheckEntry:
                 f"kernel-span d={d}", False,
                 f"degree {i}: span dim {span_dim}, expected {expected}",
             )
-    if d <= 6:
-        if kernel_generators(d, 2 * d).span_dim != total_dim(d, 2 * d):
-            return CheckEntry(
-                f"kernel-span d={d}", False, "top degree is not exhausted"
-            )
+    if kernel_generators(d, 2 * d).span_dim != total_dim(d, 2 * d):
+        return CheckEntry(f"kernel-span d={d}", False, "top degree is not exhausted")
     return CheckEntry(
         f"kernel-span d={d}", True, "generators independent, counts as expected"
     )
@@ -230,13 +227,14 @@ def _check_phi_star(d: int) -> CheckEntry:
 
 
 def _check_fixture_consistency(d: int) -> CheckEntry:
-    report = consistency_check(d)
-    if report.passed:
-        detail = "; ".join(f"{r.name}: ok" for r in report.results)
+    results = consistency_check(d)
+    passed = all(r.passed for r in results)
+    if passed:
+        detail = "; ".join(f"{r.name}: ok" for r in results)
     else:
-        first = next(r for r in report.results if not r.passed)
+        first = next(r for r in results if not r.passed)
         detail = f"{first.name}: {first.detail}"
-    return CheckEntry(f"fixture-consistency d={d}", report.passed, detail)
+    return CheckEntry(f"fixture-consistency d={d}", passed, detail)
 
 
 def _check_sw_height(dmax: int) -> CheckEntry:

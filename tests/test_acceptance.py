@@ -149,9 +149,9 @@ def test_criterion_08_second_pages():
 
 def test_criterion_09_fixture_consistency():
     for d, dims in ((2, (1, 3, 4, 2, 0)), (3, (1, 4, 10, 13, 9, 3, 0))):
-        rep = consistency_check(d)
-        assert rep.passed, [r for r in rep.results if not r.passed]
-        assert len(rep.results) == 4
+        results = consistency_check(d)
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+        assert len(results) == 4
         assert uconf_fixture(d).graded_dims(2 * d) == dims
         assert fixture_page(d, PAGE_INF).antidiagonal_sums(2 * d) == dims
     _passed(9, "fixture consistency d=2,3 (with the d=2 truncation correction)")

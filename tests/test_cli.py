@@ -190,6 +190,29 @@ def test_check_caps_dmax(capsys, monkeypatch):
         assert "--force" in err
 
 
+def test_commands_cap_d(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module past the cap must not be built")
+
+    # past the cap a degree space has not been measured to fit in memory,
+    # so refuse before any module is built
+    monkeypatch.setattr(cli, "conf_table", refuse)
+    monkeypatch.setattr(cli, "e2_page", refuse)
+    monkeypatch.setattr(cli, "closed_form_report", refuse)
+    d = str(cli.DMAX_CAP + 1)
+    for argv in (
+        ["table", "--d", d],
+        ["table", "--d", d, "--reduced"],
+        ["poincare", "--d", d],
+        ["ss", "--d", d, "--page", "2"],
+        ["compute", "--d", d, "--i", "3"],
+        ["compute", "--d", d, "--i", str(2 * cli.DMAX_CAP + 1)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and f"cap {cli.DMAX_CAP}" in err, argv
+
+
 # --- rendering ------------------------------------------------------------------
 
 def test_formats_share_numbers(capsys):

@@ -2,9 +2,9 @@ import sys
 from collections import Counter
 
 from torusconf import torus, verify
-from torusconf.gf2 import bit_indices, from_indices
+from torusconf.gf2 import bit_indices, from_indices, quotient_structure
 from torusconf.quotient import fixed_element_x
-from torusconf.torus import monomials, swap_permutation
+from torusconf.torus import monomials, swap_permutation, total_dim
 from torusconf.verify import _swapped_fixed_element, poincare_product, run_checks
 
 
@@ -92,3 +92,20 @@ def test_raise_in_degree_work_fails_only_its_check(monkeypatch):
         else:
             assert entry.passed, entry
     assert sum(not e.passed for e in suite.entries) == 2
+
+
+def test_kernel_span_tests_the_top_degree_at_every_d(monkeypatch):
+    original = verify.kernel_generators
+
+    def short(d, i):
+        kp = original(d, i)
+        if (d, i) != (7, 14):
+            return kp
+        gens = kp.generators[1:]  # the top degree's one generator dropped
+        return torus.KernelPresentation(gens, quotient_structure(total_dim(d, i), gens))
+
+    monkeypatch.setattr(verify, "kernel_generators", short)
+    entries = {e.name: e for e in run_checks(7).entries}
+    assert not entries["kernel-span d=7"].passed
+    assert entries["kernel-span d=7"].detail == "top degree is not exhausted"
+    assert entries["kernel-span d=6"].passed
