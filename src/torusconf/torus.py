@@ -101,7 +101,11 @@ def cup(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None:
 
 def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
     """Bilinear extension of the cup product to coefficient vectors, given
-    and returned as masks over the tensor basis of each degree."""
+    and returned as masks over the tensor basis of each degree.
+
+    This is the slow reference for the product law of the ``check`` sweep,
+    which multiplies phi-star columns decoded once into their basis terms
+    (``verify._product_mask``); a differential test holds the two equal."""
     basis_a = kunneth_basis(d, deg_a)
     basis_b = kunneth_basis(d, deg_b)
     if a < 0 or a >> len(basis_a) or b < 0 or b >> len(basis_b):

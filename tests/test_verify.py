@@ -2,9 +2,9 @@ import sys
 from collections import Counter
 
 from torusconf import torus, verify
-from torusconf.gf2 import bit_indices, from_indices, quotient_structure
-from torusconf.quotient import fixed_element_x
-from torusconf.torus import monomials, swap_permutation, total_dim
+from torusconf.gf2 import Gf2Matrix, bit_indices, from_indices, quotient_structure
+from torusconf.quotient import PhiStar, fixed_element_x, phi_star_build
+from torusconf.torus import cup_vector, monomials, swap_permutation, total_dim
 from torusconf.verify import _swapped_fixed_element, poincare_product, run_checks
 
 
@@ -109,3 +109,42 @@ def test_kernel_span_tests_the_top_degree_at_every_d(monkeypatch):
     assert not entries["kernel-span d=7"].passed
     assert entries["kernel-span d=7"].detail == "top degree is not exhausted"
     assert entries["kernel-span d=6"].passed
+
+
+def test_product_law_fails_on_an_involutive_non_multiplicative_phi_star(monkeypatch):
+    # identity in every degree but 2, which keeps the real pullback: each
+    # degree is still an involution, but phi*(ab) = phi*(a) phi*(b) breaks
+    original = verify.phi_star_build
+
+    def mixed(d):
+        real = original(d)
+        return PhiStar(d, tuple(
+            m if i == 2 else Gf2Matrix.identity(m.nrows)
+            for i, m in enumerate(real.matrices)
+        ))
+
+    monkeypatch.setattr(verify, "phi_star_build", mixed)
+    for d, degrees in ((2, "(1, 1)"), (3, "(1, 1)"), (5, "(2, 3)")):  # d = 5 samples
+        entry = verify._check_phi_star(d)
+        assert not entry.passed, d
+        assert entry.detail == f"product law fails in degrees {degrees}", d
+
+
+def test_decoded_product_matches_cup_vector():
+    # the product law multiplies phi-star columns decoded once; cup_vector on
+    # the column masks is the slow reference
+    nonzero = 0
+    for d in range(1, 4):
+        keys, ranks = verify._packed_classes(d)
+        transposes = [m.transpose() for m in phi_star_build(d).matrices]
+        columns = [verify._column_terms(k, t) for k, t in zip(keys, transposes)]
+        for a_deg, ta in enumerate(transposes):
+            for b_deg, tb in enumerate(transposes):
+                for a, terms_a in zip(ta.rows, columns[a_deg]):
+                    for b, terms_b in zip(tb.rows, columns[b_deg]):
+                        product = verify._product_mask(ranks, terms_a, terms_b)
+                        assert product == cup_vector(d, a_deg, a, b_deg, b), (
+                            d, a_deg, a, b_deg, b,
+                        )
+                        nonzero += product != 0
+    assert nonzero > 0
