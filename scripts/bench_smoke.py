@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Smoke-test the result line of every benchmark workload.
 
-    python3 scripts/bench_smoke.py [--seconds S]
+    python3 scripts/bench_smoke.py
 
 Run from anywhere in a torusconf checkout. For each workload declared in
-``BENCHMARK.json`` this runs ``bench/run.py --seconds S`` (2 by default) once
-with ``--trace 0`` and once with ``--trace 1``. A run passes when it exits 0
-and the last line of its stdout is a strict JSON object (no bare ``NaN`` or
-``Infinity``) with ``"correct": true`` whose metrics are exactly the ones
-``BENCHMARK.json`` declares for that mode, each with a finite number as its
-value. With ``--trace 1`` a value may also be ``null``, the benchmark's mark
-for a function the package no longer defines. Exits 1 if any run fails.
+``BENCHMARK.json`` this runs ``bench/run.py --seconds 2`` once with
+``--trace 0`` and once with ``--trace 1``. A run passes when it exits 0 and
+the last line of its stdout is a strict JSON object (no bare ``NaN`` or
+``Infinity``) with ``"correct": true`` whose metrics each have a finite
+number as their value. With ``--trace 1`` a value may also be ``null``, the
+benchmark's mark for a function the package no longer defines. Exits 1 if
+any run fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import subprocess
@@ -29,7 +28,7 @@ def _reject_constant(name: str):
     raise ValueError(f"bare {name} is not strict JSON")
 
 
-def result_line_problems(line: str, names: set[str], traced: bool) -> list[str]:
+def result_line_problems(line: str, traced: bool) -> list[str]:
     """What is wrong with one benchmark result line; empty if nothing."""
     try:
         result = json.loads(line, parse_constant=_reject_constant)
@@ -43,9 +42,6 @@ def result_line_problems(line: str, names: set[str], traced: bool) -> list[str]:
     metrics = result.get("metrics")
     if not isinstance(metrics, dict):
         return problems + ['no "metrics" object']
-    if set(metrics) != names:
-        problems.append(f"metric names differ from BENCHMARK.json: "
-                        f"{sorted(set(metrics) ^ names)}")
     for name, metric in metrics.items():
         if not isinstance(metric, dict) or "value" not in metric:
             problems.append(f"{name} is not a value-and-unit object")
@@ -59,11 +55,11 @@ def result_line_problems(line: str, names: set[str], traced: bool) -> list[str]:
     return problems
 
 
-def smoke(workload: str, trace: int, seconds: float, names: set[str]) -> list[str]:
+def smoke(workload: str, trace: int) -> list[str]:
     """Run one short benchmark and return its problems."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", "2", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -71,22 +67,15 @@ def smoke(workload: str, trace: int, seconds: float, names: set[str]) -> list[st
     lines = proc.stdout.splitlines()
     if not lines:
         return ["no stdout"]
-    return result_line_problems(lines[-1], names, bool(trace))
+    return result_line_problems(lines[-1], bool(trace))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seconds", type=float, default=2.0)
-    args = parser.parse_args(argv)
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = {
-        0: {m["name"] for m in spec["end_to_end"]},
-        1: {m["name"] for m in spec["per_layer"]},
-    }
     failed = 0
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            problems = smoke(workload, trace, args.seconds, names[trace])
+            problems = smoke(workload, trace)
             print(f"{'FAIL' if problems else 'ok'}  {workload} --trace {trace}")
             for problem in problems:
                 print(f"      {problem}")
