@@ -101,10 +101,12 @@ def e2_page(d: int, pmax: int) -> SSPage:
         raise ValueError("d must be at least 1")
     if pmax < 0:
         raise ValueError("pmax must be nonnegative")
-    rows = tuple(
+    # from a list: tuple() of a generator over-allocates, and CPython keeps
+    # the shrunk block on its tuple free list until a full collection
+    rows = tuple([
         (dec.trivial + dec.regular,) + (dec.trivial,) * pmax
         for dec in conf_table(d)[:-1]  # H^2d vanishes
-    )
+    ])
     return SSPage(
         d, 2, pmax, rows, (True,) * (2 * d), provenance="computed"
     )

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import __version__
@@ -21,7 +22,7 @@ from .borel import e2_page, fixture_page
 # them through this module
 from .decomp import closed_form_report, conf_table, decompose, reduced  # noqa: F401
 from .quotient import conf_module  # noqa: F401
-from .torus import Decomposition
+from .torus import Decomposition, binom
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
@@ -242,7 +243,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         status = "ok" if entry.passed else "FAIL"
         print(f"[{seconds:8.2f}s] {entry.name}: {status}", file=sys.stderr)
 
-    suite = run_checks(args.dmax, progress=progress)
+    def on_sweep(d: int, seconds: float, growth_kb: int) -> None:
+        print(
+            f"[{seconds:8.2f}s] sweep d={d}: {2 * d + 2} degrees, "
+            f"ambient max {binom(2 * d, d):,}, +{growth_kb / 1024:.0f} MB",
+            file=sys.stderr,
+        )
+
+    suite = run_checks(args.dmax, progress=progress, on_sweep=on_sweep)
     payload = {
         "dmax": suite.dmax,
         "passed": suite.passed,
@@ -278,7 +286,15 @@ def cmd_poincare(args: argparse.Namespace) -> int:
     return 0 if payload["agreement"] else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call (not at import) and shared by
+    every later call in the process, so callers must not modify it.
+
+    Sharing is safe because argparse keeps no state between ``parse_args``
+    calls; in-process callers that render many documents pay for argparse
+    construction once.
+    """
     parser = argparse.ArgumentParser(
         prog="torusconf",
         description=(

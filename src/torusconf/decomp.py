@@ -140,7 +140,9 @@ def closed_form_report(d: int, i: int) -> ClosedFormReport:
 def conf_table(d: int) -> tuple[Decomposition, ...]:
     """Decompositions of conf_module(d, i) for i = 0 .. 2d, each module
     built and dropped before the next one."""
-    return tuple(decompose(conf_module(d, i)) for i in range(2 * d + 1))
+    # from a list: tuple() of a generator over-allocates, and CPython keeps
+    # the shrunk block on its tuple free list until a full collection
+    return tuple([decompose(conf_module(d, i)) for i in range(2 * d + 1)])
 
 
 def reduced(table: tuple[Decomposition, ...]) -> tuple[Decomposition, ...]:

@@ -203,7 +203,9 @@ def quotient_structure(ambient_dim: int, subspace: Iterable[int]) -> QuotientBas
             raise ValueError("subspace vector has bits outside the ambient space")
     reduced = _rref(masks)
     pivots = tuple(sorted(reduced))
-    return QuotientBasis(ambient_dim, tuple(reduced[p] for p in pivots), pivots)
+    # from a list: tuple() of a generator over-allocates, and CPython keeps
+    # the shrunk block on its tuple free list until a full collection
+    return QuotientBasis(ambient_dim, tuple([reduced[p] for p in pivots]), pivots)
 
 
 def induced_map_on_quotient(m: Gf2Matrix, q: QuotientBasis) -> Gf2Matrix:

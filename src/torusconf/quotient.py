@@ -81,10 +81,12 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
     masks meet exactly in m.
     """
     # monomials(d, i - d) is empty unless d <= i <= 2d
-    gens = tuple(
+    # from a list: tuple() of a generator over-allocates, and CPython keeps
+    # the shrunk block on its tuple free list until a full collection
+    gens = tuple([
         from_indices(kunneth_index(d, i, s, t) for s, t in _relation_terms(d, m))
         for m in monomials(d, i - d)
-    )
+    ])
     return KernelPresentation(gens, quotient_structure(total_dim(d, i), gens))
 
 

@@ -4,13 +4,14 @@ Every structural fact the package relies on is re-derived here by brute
 force: closed-form counts against explicit elimination, the Poincare
 identity, the shear-pullback laws, nonzero swap-fixed cosets, kernel ranks,
 and the stored spectral-sequence tables. Checks are pure and their report
-is deterministic; wall-clock timing goes to the optional progress callback
-only, never into the report.
+is deterministic; wall-clock timing and memory growth go to the optional
+progress callbacks only, never into the report.
 """
 
 from __future__ import annotations
 
 import random
+import resource
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -298,11 +299,14 @@ def _notes(dmax: int) -> tuple[str, ...]:
 def run_checks(
     dmax: int,
     progress: Callable[[CheckEntry, float], None] | None = None,
+    on_sweep: Callable[[int, float, int], None] | None = None,
 ) -> SuiteResult:
     """Run the whole suite up to torus dimension ``dmax``.
 
     The returned report depends only on ``dmax``; timing is delivered
-    through ``progress`` and deliberately kept out of the result.
+    through ``progress`` (each check and its seconds) and ``on_sweep`` (each
+    d's module sweep, its seconds and its growth of peak RSS in KiB), and
+    deliberately kept out of the result.
     """
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
@@ -319,7 +323,12 @@ def run_checks(
             progress(entry, time.perf_counter() - start)
 
     for d in range(1, dmax + 1):
+        start = time.perf_counter()
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         torus, conf, kernels, fixed = _sweep(d)
+        if on_sweep is not None:
+            growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb
+            on_sweep(d, time.perf_counter() - start, growth_kb)
         conf = conf[:-1]  # degrees 0..2d
         name = f"torus-oracle d={d}"
         run(name, _check_oracle, name, torus, partial(torus_closed_form, d))

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,23 @@ def test_check_dmax1(capsys):
     assert any("reported, not a failure" in n for n in payload["notes"])
 
 
+def test_check_reports_one_sweep_line_per_d(capsys):
+    code, out, err = run_cli(capsys, "check", "--dmax", "2")
+    assert code == 0
+    sweeps = [line for line in err.splitlines() if " sweep d=" in line]
+    # seconds, then degrees 0..2d+1, C(2d, d) and the growth of peak RSS
+    assert len(sweeps) == 2
+    assert re.fullmatch(
+        r"\[ +\d+\.\d\ds\] sweep d=1: 4 degrees, ambient max 2, \+\d+ MB", sweeps[0])
+    assert re.fullmatch(
+        r"\[ +\d+\.\d\ds\] sweep d=2: 6 degrees, ambient max 6, \+\d+ MB", sweeps[1])
+    # the progress lines are still one per check, in the report's order
+    progress = [line.split("] ", 1)[1] for line in err.splitlines()
+                if line not in sweeps]
+    checks = json.loads(out)["payload"]["checks"]
+    assert progress == [f"{c['name']}: ok" for c in checks]
+
+
 def test_check_caps_dmax(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the capped sweep must not start")
@@ -258,6 +276,31 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+# --- the shared parser ----------------------------------------------------------
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["table", "--d", "3", "--reduced", "--format", "latex"]
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as err:
+        main(["table"])  # --d is required: an argparse usage error
+    assert err.value.code == 2
+    assert run_cli(capsys, "table", "--d", "15")[0] == 2
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert run_cli(capsys, "check", "--dmax", "1", "--force")[0] == 0
+    assert run_cli(capsys, *argv) == (0, first, "")
+
+    parser = cli.build_parser()
+    parser.parse_args(["check", "--dmax", "2"])
+    parser.parse_args(["ss", "--d", "2", "--page", "3", "--pmax", "4"])
+    assert set(vars(parser.parse_args(["table", "--d", "2"]))) == {
+        "command", "d", "reduced", "format", "out", "func",
+    }
 
 
 # --- determinism -----------------------------------------------------------------
