@@ -37,15 +37,14 @@ def _normalize_page(page: int | str | None) -> int | None:
 class SSPage:
     """One page: a (p, q) dimension table for 0 <= p <= pmax, 0 <= q <= 2d-1.
 
-    Rows flagged eventually_constant repeat their last column for every
-    p > pmax (the alpha tail), so truncation loses no information.
+    Every row repeats its last column for every p > pmax (the alpha tail),
+    so truncation loses no information.
     """
 
     d: int
     page: int | None
     pmax: int
     rows: tuple[tuple[int, ...], ...]
-    eventually_constant: tuple[bool, ...]
     provenance: str
     source_figure: str | None = None
 
@@ -69,11 +68,7 @@ class SSPage:
             raise IndexError((p, q))
         if q > self.qmax:
             return 0
-        if p > self.pmax:
-            if not self.eventually_constant[q]:
-                raise IndexError(f"column {p} beyond pmax on a non-constant row")
-            return self.rows[q][self.pmax]
-        return self.rows[q][p]
+        return self.rows[q][min(p, self.pmax)]
 
     def with_pmax(self, pmax: int) -> SSPage:
         """Truncate or extend columns; extension repeats the constant tail."""
@@ -107,9 +102,7 @@ def e2_page(d: int, pmax: int) -> SSPage:
         (dec.trivial + dec.regular,) + (dec.trivial,) * pmax
         for dec in conf_table(d)[:-1]  # H^2d vanishes
     ])
-    return SSPage(
-        d, 2, pmax, rows, (True,) * (2 * d), provenance="computed"
-    )
+    return SSPage(d, 2, pmax, rows, provenance="computed")
 
 
 @lru_cache(maxsize=None)
@@ -120,10 +113,11 @@ def _fixture_pages() -> dict[tuple[int, int | None], SSPage]:
     pages: dict[tuple[int, int | None], SSPage] = {}
     for entry in raw["pages"]:
         page = _normalize_page(entry["page"])
+        if any(r["eventually_constant"] is not True for r in entry["rows"]):
+            raise ValueError("every stored row must be eventually constant")
         rows = tuple(tuple(r["dims"]) for r in entry["rows"])
-        flags = tuple(bool(r["eventually_constant"]) for r in entry["rows"])
         pages[entry["d"], page] = SSPage(
-            entry["d"], page, entry["pmax"], rows, flags,
+            entry["d"], page, entry["pmax"], rows,
             provenance="fixture", source_figure=entry["source_figure"],
         )
     # The d = 2 sequence degenerates after page 4: page 4 already equals the

@@ -114,8 +114,10 @@ def _output(
     payload: dict,
     headers: list[str],
     rows: list[list],
-) -> None:
-    """Render the command's document and write it to stdout or ``--out``."""
+    status: int = 0,
+) -> int:
+    """Render the command's document and write it to stdout or ``--out``;
+    returns ``status``, or the refusal code when ``--out`` cannot be written."""
     doc = {
         "command": args.command,
         "parameters": {**parameters, "format": args.format},
@@ -125,9 +127,13 @@ def _output(
     text = _render(doc, headers, rows, args.format)
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return status
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        return _refuse(f"cannot write {args.out}: {exc.strerror}")
+    return status
 
 
 def _decomposition_row(i: int, dec: Decomposition, fmt: str) -> list:
@@ -160,15 +166,17 @@ def cmd_compute(args: argparse.Namespace) -> int:
     }
     headers = ["d", "i", "dim", "trivial", "regular", "module"]
     rows = [[args.d] + _decomposition_row(args.i, brute, args.format)]
-    _output(args, {"d": args.d, "i": args.i}, payload, headers, rows)
-    if not payload["agreement"]:
+    status = _output(
+        args, {"d": args.d, "i": args.i}, payload, headers, rows,
+        status=0 if payload["agreement"] else 1,
+    )
+    if status == 1:
         print(
             f"error: brute force and corrected closed form disagree at "
             f"(d={args.d}, i={args.i})",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return status
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -188,8 +196,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     }
     headers = ["i", "dim", "trivial", "regular", "module"]
     rows = [_decomposition_row(i, dec, args.format) for i, dec in table_rows]
-    _output(args, {"d": args.d, "reduced": args.reduced}, payload, headers, rows)
-    return 0
+    return _output(args, {"d": args.d, "reduced": args.reduced}, payload, headers, rows)
 
 
 def cmd_ss(args: argparse.Namespace) -> int:
@@ -215,7 +222,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
             {
                 "q": q,
                 "dims": list(page.rows[q]),
-                "eventually_constant": page.eventually_constant[q],
+                "eventually_constant": True,
             }
             for q in range(page.qmax + 1)
         ],
@@ -223,8 +230,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
     headers = ["q"] + [f"p={p}" for p in range(page.pmax + 1)]
     rows = [[q, *page.rows[q]] for q in range(page.qmax + 1)]
     parameters = {"d": args.d, "page": args.page, "pmax": pmax}
-    _output(args, parameters, payload, headers, rows)
-    return 0
+    return _output(args, parameters, payload, headers, rows)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -264,8 +270,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     rows = [
         [e.name, "pass" if e.passed else "fail", e.detail] for e in suite.entries
     ]
-    _output(args, {"dmax": args.dmax}, payload, headers, rows)
-    return 0 if suite.passed else 1
+    return _output(
+        args, {"dmax": args.dmax}, payload, headers, rows,
+        status=0 if suite.passed else 1,
+    )
 
 
 def cmd_poincare(args: argparse.Namespace) -> int:
@@ -282,8 +290,10 @@ def cmd_poincare(args: argparse.Namespace) -> int:
     }
     headers = ["i", "dim", "product coefficient"]
     rows = [[i, coefficients[i], product[i]] for i in range(2 * args.d + 1)]
-    _output(args, {"d": args.d}, payload, headers, rows)
-    return 0 if payload["agreement"] else 1
+    return _output(
+        args, {"d": args.d}, payload, headers, rows,
+        status=0 if payload["agreement"] else 1,
+    )
 
 
 @cache

@@ -31,13 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import (
-    Gf2Matrix,
-    SubspaceNotPreservedError,
-    bit_indices,
-    from_indices,
-    rank,
-)
+from .gf2 import SubspaceNotPreservedError, bit_indices, from_indices, rank
 from .quotient import conf_module
 from .torus import Decomposition, Sigma2Module, binom, torus_closed_form
 
@@ -64,7 +58,7 @@ def decompose(m: Sigma2Module) -> Decomposition:
                 "swap does not stabilise the subspace; no induced quotient map"
             )
         images.append((swapped ^ r) | (r & on_fixed))
-    lost = len(images) - rank(Gf2Matrix(len(images), n, tuple(images)))
+    lost = len(images) - rank(images)
     regular = (n - len(fixed)) // 2 - lost
     return Decomposition(m.dim, m.dim - 2 * regular, regular)
 

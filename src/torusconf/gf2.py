@@ -60,7 +60,10 @@ def submasks(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """A dense GF(2) matrix; column j holds the image of basis vector j."""
+    """A dense GF(2) matrix; column j holds the image of basis vector j.
+
+    No pipeline code builds one: it is the type of the dense oracles
+    (``torus.sigma_matrix``, ``induced_map_on_quotient``) the tests read."""
 
     nrows: int
     ncols: int
@@ -145,9 +148,9 @@ def _rref(rows: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def rank(m: Gf2Matrix) -> int:
-    """GF(2) rank via row elimination; ``m`` is not mutated."""
-    return len(_echelon_pivots(m.rows))
+def rank(rows: Iterable[int]) -> int:
+    """GF(2) rank of the row masks ``rows``, via row elimination."""
+    return len(_echelon_pivots(rows))
 
 
 @dataclass(frozen=True)

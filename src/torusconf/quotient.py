@@ -11,15 +11,13 @@ to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .gf2 import Gf2Matrix, from_indices, quotient_structure, submasks
+from .gf2 import from_indices, quotient_structure, submasks
 from .torus import (
     KernelPresentation,
     Sigma2Module,
     free_module,
-    kunneth_basis,
     kunneth_index,
     monomials,
     swap_permutation,
@@ -27,39 +25,33 @@ from .torus import (
 )
 
 
-@dataclass(frozen=True)
-class PhiStar:
-    """The pullback of the shear, one matrix per degree of the square."""
-
-    d: int
-    matrices: tuple[Gf2Matrix, ...]
-
-    def in_degree(self, i: int) -> Gf2Matrix:
-        if not 0 <= i <= 2 * self.d:
-            raise ValueError(f"degree {i} outside [0, {2 * self.d}]")
-        return self.matrices[i]
-
-
-def _phi_star_matrix(d: int, i: int) -> Gf2Matrix:
-    # Column of (S, T): multiply the degree-1 images. Left factors are fixed,
-    # each right factor e_t* maps to e_t* x 1 + 1 x e_t*, so the image is the
-    # sum over submasks J of T of (S u (T \ J), J), dropping repeated indices.
-    basis = kunneth_basis(d, i)
-    rows = [0] * len(basis)
-    for j, (smask, tmask) in enumerate(basis):
-        colbit = 1 << j
-        for sub in submasks(tmask):
-            moved = tmask ^ sub
-            if not smask & moved:
-                rows[kunneth_index(d, i, smask | moved, sub)] ^= colbit
-    return Gf2Matrix(len(basis), len(basis), tuple(rows))
+def _image_keys(d: int, key: int) -> tuple[int, ...]:
+    # Left factors are fixed and each right factor e_t* maps to
+    # e_t* x 1 + 1 x e_t*, so the image of (S, T) is the sum over submasks J
+    # of T of (S u (T \ J), J), dropping the terms with a repeated index.
+    smask, tmask = key >> d, key & ((1 << d) - 1)
+    return tuple([
+        ((smask | (tmask ^ sub)) << d) | sub
+        for sub in submasks(tmask)
+        if not smask & (tmask ^ sub)
+    ])
 
 
-def phi_star_build(d: int) -> PhiStar:
-    """All per-degree matrices of the shear pullback on the square."""
+def phi_star_build(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The shear pullback on the square, one entry per degree i = 0 .. 2d.
+
+    Entry i lists, for each class of the degree-i tensor basis written as
+    packed keys (monomials(2d, i), see ``torus``), the packed keys of the
+    terms of its image.
+    """
     if d < 1:
         raise ValueError("d must be at least 1")
-    return PhiStar(d, tuple(_phi_star_matrix(d, i) for i in range(2 * d + 1)))
+    # from lists: tuple() of a generator over-allocates, and CPython keeps
+    # the shrunk block on its tuple free list until a full collection
+    return tuple([
+        tuple([_image_keys(d, key) for key in monomials(2 * d, i)])
+        for i in range(2 * d + 1)
+    ])
 
 
 def _relation_terms(d: int, m: int) -> Iterator[tuple[int, int]]:

@@ -11,6 +11,11 @@ and table in the package is written in that order. The position of the
 degree-i class (S, T) is therefore off_i[S] + pos(T), where pos(T) is the
 index of T in monomials(d, |T|), and off_i[S], the sum of C(d, i - |S'|)
 over all masks S' < S, counts the classes whose left mask is smaller than S.
+
+Packed as the 2d-bit key (S << d) | T, the classes keep that order: the
+degree-i basis is monomials(2d, i) and the position of a class is
+positions(2d)[key]. Two classes have a zero cup product exactly when their
+keys share a bit; otherwise the product is the class of the union of keys.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ def monomials(d: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _positions(d: int) -> tuple[int, ...]:
+def positions(d: int) -> tuple[int, ...]:
     """Entry T is the index of the mask T in monomials(d, |T|)."""
     pos = [0] * (1 << d)
     for k in range(d + 1):
@@ -82,7 +87,7 @@ def kunneth_index(d: int, i: int, left: int, right: int) -> int:
         left.bit_count() + right.bit_count() != i
     ):
         raise ValueError(f"({left}, {right}) is not a degree-{i} class for d={d}")
-    return _offsets(d, i)[left] + _positions(d)[right]
+    return _offsets(d, i)[left] + positions(d)[right]
 
 
 def total_dim(d: int, i: int) -> int:
@@ -124,7 +129,7 @@ def swap_permutation(d: int, i: int) -> tuple[int, ...]:
     if not 0 <= i <= 2 * d:
         return ()
     off = _offsets(d, i)
-    pos = _positions(d)
+    pos = positions(d)
     perm: list[int] = []
     for smask in range(1 << d):
         shift = pos[smask]

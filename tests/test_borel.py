@@ -1,7 +1,10 @@
 import dataclasses
+import json
+from importlib import resources
 
 import pytest
 
+from torusconf import borel
 from torusconf.borel import (
     PAGE_INF,
     attribute_rank_drops,
@@ -99,6 +102,23 @@ def test_pages_monotone_entrywise():
         for q in range(a.qmax + 1):
             for p in range(a.pmax + 1):
                 assert a.rows[q][p] >= b.rows[q][p] >= c.rows[q][p]
+
+
+def test_fixture_loader_rejects_a_row_that_is_not_eventually_constant(monkeypatch):
+    stored = resources.files("torusconf").joinpath("data/ss_pages.json").read_text()
+    raw = json.loads(stored)
+    raw["pages"][-1]["rows"][1]["eventually_constant"] = False
+
+    class Edited:
+        def joinpath(self, name):
+            return self
+
+        def read_text(self):
+            return json.dumps(raw)
+
+    monkeypatch.setattr(borel.resources, "files", lambda package: Edited())
+    with pytest.raises(ValueError, match="eventually constant"):
+        borel._fixture_pages.__wrapped__()  # past the cache of the real file
 
 
 def test_with_pmax_extends_constant_tail():

@@ -272,6 +272,17 @@ def test_out_writes_file(tmp_path, capsys):
     assert doc["payload"]["dim"] == 5
 
 
+def test_out_that_cannot_be_written_is_refused(tmp_path, capsys):
+    # a missing directory and a directory: one error line, exit 2, no output
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(capsys, "table", "--d", "2", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])

@@ -51,7 +51,7 @@ def dense_decompose(sigma, quotient=None):
     n = sigma.nrows
     identity = Gf2Matrix.identity(n)
     assert sigma @ sigma == identity
-    regular = rank(sigma + identity)
+    regular = rank((sigma + identity).rows)
     return Decomposition(n, n - 2 * regular, regular)
 
 

@@ -221,6 +221,6 @@ def test_torus_module_outside_degrees_is_empty(monkeypatch):
 
     # at d = 40 the tables would have 2^40 entries, so fail fast
     monkeypatch.setattr(torus, "_offsets", refuse)
-    monkeypatch.setattr(torus, "_positions", refuse)
+    monkeypatch.setattr(torus, "positions", refuse)
     for i in (-1, 81, 100):
         assert decompose(torus_module(40, i)) == Decomposition(0, 0, 0)

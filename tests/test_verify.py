@@ -2,9 +2,16 @@ import sys
 from collections import Counter
 
 from torusconf import torus, verify
-from torusconf.gf2 import Gf2Matrix, bit_indices, from_indices, quotient_structure
-from torusconf.quotient import PhiStar, fixed_element_x, phi_star_build
-from torusconf.torus import cup_vector, monomials, swap_permutation, total_dim
+from torusconf.gf2 import bit_indices, from_indices, quotient_structure
+from torusconf.quotient import fixed_element_x, phi_star_build
+from torusconf.torus import (
+    cup_vector,
+    kunneth_index,
+    monomials,
+    positions,
+    swap_permutation,
+    total_dim,
+)
 from torusconf.verify import _swapped_fixed_element, poincare_product, run_checks
 
 
@@ -111,17 +118,21 @@ def test_kernel_span_tests_the_top_degree_at_every_d(monkeypatch):
     assert entries["kernel-span d=6"].passed
 
 
+def identity_columns(d, i):
+    """Degree i of the identity map, in the column form of phi_star_build."""
+    return tuple([(key,) for key in monomials(2 * d, i)])
+
+
 def test_product_law_fails_on_an_involutive_non_multiplicative_phi_star(monkeypatch):
     # identity in every degree but 2, which keeps the real pullback: each
     # degree is still an involution, but phi*(ab) = phi*(a) phi*(b) breaks
     original = verify.phi_star_build
 
     def mixed(d):
-        real = original(d)
-        return PhiStar(d, tuple(
-            m if i == 2 else Gf2Matrix.identity(m.nrows)
-            for i, m in enumerate(real.matrices)
-        ))
+        return tuple(
+            degree if i == 2 else identity_columns(d, i)
+            for i, degree in enumerate(original(d))
+        )
 
     monkeypatch.setattr(verify, "phi_star_build", mixed)
     for d, degrees in ((2, "(1, 1)"), (3, "(1, 1)"), (5, "(2, 3)")):  # d = 5 samples
@@ -130,21 +141,87 @@ def test_product_law_fails_on_an_involutive_non_multiplicative_phi_star(monkeypa
         assert entry.detail == f"product law fails in degrees {degrees}", d
 
 
+def test_involution_law_fails_on_a_non_involutive_phi_star(monkeypatch):
+    # degree 3 shifts its C(2d, 3) > 2 classes cyclically, a map whose
+    # square is not the identity; degrees 0..2 keep the real pullback
+    original = verify.phi_star_build
+
+    def skewed(d):
+        out = list(original(d))
+        keys = monomials(2 * d, 3)
+        out[3] = tuple([(keys[(j + 1) % len(keys)],) for j in range(len(keys))])
+        return tuple(out)
+
+    monkeypatch.setattr(verify, "phi_star_build", skewed)
+    for d in (2, 3, 5):
+        entry = verify._check_phi_star(d)
+        assert not entry.passed, d
+        assert entry.detail == "not involutive in degree 3", d
+
+
+def column_masks(d):
+    """Each column of phi_star_build(d) as a mask over its degree's basis,
+    ranked through kunneth_index."""
+    right = (1 << d) - 1
+    return [
+        [
+            from_indices(kunneth_index(d, i, key >> d, key & right) for key in terms)
+            for terms in degree
+        ]
+        for i, degree in enumerate(phi_star_build(d))
+    ]
+
+
 def test_decoded_product_matches_cup_vector():
-    # the product law multiplies phi-star columns decoded once; cup_vector on
-    # the column masks is the slow reference
+    # the product law multiplies phi-star columns as packed-key term lists;
+    # cup_vector on the column masks is the slow reference
     nonzero = 0
     for d in range(1, 4):
-        keys, ranks = verify._packed_classes(d)
-        transposes = [m.transpose() for m in phi_star_build(d).matrices]
-        columns = [verify._column_terms(k, t) for k, t in zip(keys, transposes)]
-        for a_deg, ta in enumerate(transposes):
-            for b_deg, tb in enumerate(transposes):
-                for a, terms_a in zip(ta.rows, columns[a_deg]):
-                    for b, terms_b in zip(tb.rows, columns[b_deg]):
+        columns = phi_star_build(d)
+        masks = column_masks(d)
+        ranks = positions(2 * d)
+        for a_deg, degree_a in enumerate(columns):
+            for b_deg, degree_b in enumerate(columns):
+                for a, terms_a in zip(masks[a_deg], degree_a):
+                    for b, terms_b in zip(masks[b_deg], degree_b):
                         product = verify._product_mask(ranks, terms_a, terms_b)
                         assert product == cup_vector(d, a_deg, a, b_deg, b), (
                             d, a_deg, a, b_deg, b,
                         )
                         nonzero += product != 0
     assert nonzero > 0
+
+
+def meeting_pairs(d):
+    """The product-law pairs of _check_phi_star(d) whose keys share a bit."""
+    if d <= 4:
+        pairs = (
+            (a_deg, a_idx, b_deg, b_idx)
+            for a_deg in range(2 * d + 1)
+            for b_deg in range(2 * d + 1 - a_deg)
+            for a_idx in range(total_dim(d, a_deg))
+            for b_idx in range(total_dim(d, b_deg))
+        )
+    else:
+        pairs = verify._sampled_pairs(d)
+    for a_deg, a_idx, b_deg, b_idx in pairs:
+        if monomials(2 * d, a_deg)[a_idx] & monomials(2 * d, b_deg)[b_idx]:
+            yield a_deg, a_idx, b_deg, b_idx
+
+
+def test_pullback_product_of_a_meeting_pair_is_zero():
+    # the check counts these pairs without comparing them: ab = 0, so the
+    # law asks phi*(a) phi*(b) = 0. Of the exhaustive pairs (11, 163 and
+    # 2510 at d = 1, 2, 3) the 3^(2d) disjoint ones are compared, one per
+    # way to put each of the 2d bits in a, in b or in neither.
+    for d, expected in ((1, 11 - 9), (2, 163 - 81), (3, 2510 - 729), (5, None)):
+        columns = phi_star_build(d)
+        ranks = positions(2 * d)
+        count = 0
+        for a_deg, a_idx, b_deg, b_idx in meeting_pairs(d):
+            terms_a, terms_b = columns[a_deg][a_idx], columns[b_deg][b_idx]
+            assert verify._product_mask(ranks, terms_a, terms_b) == 0, (
+                d, a_deg, a_idx, b_deg, b_idx,
+            )
+            count += 1
+        assert count == expected or expected is None and count > 0, (d, count)
