@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import cache
 from typing import Sequence
@@ -26,7 +27,9 @@ from .torus import Decomposition, binom
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-# check --dmax 14: 632 s, 2.3 GB peak RSS (one degree's module); 15 not run.
+# check --dmax 14: 162 s, 250 MB peak RSS. check --dmax 15 --force: 573 s,
+# 705 MB; conf_table(15): 206 s, 673 MB. Raising the cap to 15 waits for
+# check --dmax 14 --force to be compared byte for byte with a dense-row build.
 # The same cap, with no override, bounds --d of table, poincare, ss --page 2
 # and compute below degree 2d (from 2d on the module is zero and free).
 DMAX_CAP = 14
@@ -134,6 +137,22 @@ def _output(
     except OSError as exc:
         return _refuse(f"cannot write {args.out}: {exc.strerror}")
     return status
+
+
+def _probe_out(path: str) -> str | None:
+    """Why ``path`` cannot be opened for writing, or None when it can.
+
+    Opened for appending, so an existing file keeps its contents until the
+    document is written; a file the probe created is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        return exc.strerror
+    if not existed:
+        os.remove(path)
+    return None
 
 
 def _decomposition_row(i: int, dec: Decomposition, fmt: str) -> list:
@@ -361,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # refused before any work: at --dmax 14 the work takes minutes
+    reason = None if args.out is None else _probe_out(args.out)
+    if reason is not None:
+        return _refuse(f"cannot write {args.out}: {reason}")
     return args.func(args)
 
 

@@ -18,7 +18,14 @@ The intersection is the kernel on K of h(v) = (sigma + 1)v + (v restricted
 to the fixed coordinates); the two terms have disjoint supports, so h(v) = 0
 exactly when v is swap-invariant and vanishes on the fixed coordinates.
 Applying h to the reduced rows of K turns the intersection into one small
-rank. No n x n matrix is ever formed.
+rank.
+
+The swap is a compact array of n positions, read in one pass that checks
+it is an involution (every entry in range, every image mapped back) and
+counts its fixed points. The rows of K, their swaps and their images
+under h are sparse, the positions of their terms, so the stability check
+and the rank cost the number of terms, not n: no n x n matrix and no
+length-n row is formed.
 
 The closed forms come in two flavours: the corrected count, which the brute
 force must match exactly, and the count as published, which in the odd case
@@ -31,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2 import SubspaceNotPreservedError, bit_indices, from_indices, rank
+from .gf2 import SubspaceNotPreservedError, echelon
 from .quotient import conf_module
 from .torus import Decomposition, Sigma2Module, binom, torus_closed_form
 
@@ -45,21 +52,25 @@ def decompose(m: Sigma2Module) -> Decomposition:
     """
     perm = m.swap
     n = len(perm)
-    if any(not 0 <= p < n or perm[p] != j for j, p in enumerate(perm)):
-        raise ValueError("sigma is not an involution")
-    fixed = [j for j, p in enumerate(perm) if j == p]
+    fixed = 0
+    for j, p in enumerate(perm):
+        if p == j:
+            fixed += 1
+        elif not 0 <= p < n or perm[p] != j:
+            raise ValueError("sigma is not an involution")
     q = m.presentation.quotient
-    on_fixed = from_indices(fixed)
     images = []
     for r in q.rows:
-        swapped = from_indices(perm[b] for b in bit_indices(r))
-        if q.reduce_bits(swapped):
+        swapped = [perm[b] for b in r]
+        if q.reduce(swapped):
             raise SubspaceNotPreservedError(
                 "swap does not stabilise the subspace; no induced quotient map"
             )
-        images.append((swapped ^ r) | (r & on_fixed))
-    lost = len(images) - rank(images)
-    regular = (n - len(fixed)) // 2 - lost
+        image = set(swapped).symmetric_difference(r)
+        image.update(b for b in r if perm[b] == b)
+        images.append(image)
+    lost = len(images) - len(echelon(images))
+    regular = (n - fixed) // 2 - lost
     return Decomposition(m.dim, m.dim - 2 * regular, regular)
 
 

@@ -1,9 +1,15 @@
 """Exact linear algebra over the two-element field.
 
-Vectors and matrices are bit-packed: a length-n vector is an n-bit Python
-integer (bit j = coordinate j), and a matrix is a tuple of such row masks.
-Python integers are word-limbed bitsets, so XOR row operations run at
-machine speed with no array dependency.
+Vectors come in two forms. A dense vector of length n is an n-bit Python
+integer (bit j = coordinate j), and a dense matrix is a tuple of such row
+masks; Python integers are word-limbed bitsets, so XOR row operations run
+at machine speed with no array dependency. A sparse row is the collection
+of the positions of its nonzero coordinates. The relation rows of the
+pipeline have few nonzero coordinates in a large ambient space, so they
+are eliminated sparse (``echelon``, ``quotient_structure``). Dense masks
+serve the shear-pullback check, ``torus.cup_vector`` and the dense oracles
+(``rank``, ``Gf2Matrix``, ``induced_map_on_quotient``) that the tests hold
+the sparse path to.
 
 Pivoting is deterministic: elimination always takes the lowest-index
 (leftmost) column available, so echelon forms and coset representatives
@@ -14,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -117,7 +123,7 @@ class SubspaceNotPreservedError(ValueError):
 
 
 def _echelon_pivots(rows: Iterable[int]) -> dict[int, int]:
-    """Reduce rows to echelon form; maps pivot column -> row mask.
+    """Reduce row masks to echelon form; maps pivot column -> row mask.
 
     Rows are consumed in order and each is reduced against the pivots seen
     so far, always clearing the lowest set bit first.
@@ -134,23 +140,40 @@ def _echelon_pivots(rows: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _rref(rows: Iterable[int]) -> dict[int, int]:
-    """Full row reduction: no stored row contains another row's pivot bit."""
-    pivots = _echelon_pivots(rows)
-    pivot_mask = from_indices(pivots)
-    # Echelon row p has no bit below p, and rows of higher pivot are reduced
-    # first, so clearing its other pivot bits brings in no new pivot bit.
-    for p in sorted(pivots, reverse=True):
-        r = pivots[p]
-        for q in bit_indices(r & pivot_mask ^ (1 << p)):
-            r ^= pivots[q]
-        pivots[p] = r
-    return pivots
-
-
 def rank(rows: Iterable[int]) -> int:
-    """GF(2) rank of the row masks ``rows``, via row elimination."""
+    """GF(2) rank of the row masks ``rows``, via row elimination: the dense
+    oracle the tests hold ``echelon`` to."""
     return len(_echelon_pivots(rows))
+
+
+def _as_set(row: Collection[int]) -> set[int]:
+    positions = set(row)
+    if len(positions) != len(row):
+        raise ValueError("a sparse row lists a position twice")
+    return positions
+
+
+def echelon(rows: Iterable[Collection[int]]) -> dict[int, set[int]]:
+    """Reduce sparse rows to echelon form; maps pivot -> row.
+
+    A sparse row is the collection of the positions of its nonzero
+    coordinates, each listed once; stored rows are sets. Rows are consumed
+    in order and each is reduced against the pivots seen so far, always
+    clearing its lowest position first, so a stored row's pivot is its
+    lowest position. Its cost is the total length of the rows XORed, with
+    no term in the ambient dimension. The number of pivots is the rank.
+    """
+    pivots: dict[int, set[int]] = {}
+    for row in rows:
+        r = _as_set(row)
+        while r:
+            p = min(r)
+            seen = pivots.get(p)
+            if seen is None:
+                pivots[p] = r
+                break
+            r ^= seen
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -158,14 +181,16 @@ class QuotientBasis:
     """An ambient space modulo a subspace, with canonical coset representatives.
 
     ``rows`` is the reduced row-echelon basis of the subspace, ordered by
-    pivot; the pivot-free coordinates index a basis of the quotient.
-    ``reduce_bits`` sends any ambient vector to the unique coset
-    representative supported on the free coordinates, so reduce_bits(v) == 0
-    exactly when v lies in the subspace.
+    pivot, each row the increasing positions of its nonzero coordinates;
+    the pivot-free coordinates index a basis of the quotient. ``reduce``
+    sends the positions of any ambient vector to those of the unique coset
+    representative supported on the free coordinates, so reduce(v) is empty
+    exactly when v lies in the subspace. ``reduce_bits`` does the same on
+    masks for the dense oracles.
     """
 
     ambient_dim: int
-    rows: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
     @property
@@ -182,33 +207,50 @@ class QuotientBasis:
         return from_indices(self.pivots)
 
     @cached_property
-    def _row_by_pivot(self) -> dict[int, int]:
+    def _row_by_pivot(self) -> dict[int, tuple[int, ...]]:
         return dict(zip(self.pivots, self.rows))
 
     @cached_property
     def _free_index(self) -> dict[int, int]:
         return {f: k for k, f in enumerate(self.free_coords)}
 
+    def reduce(self, positions: Collection[int]) -> tuple[int, ...]:
+        """The increasing positions of the coset representative of the
+        vector with nonzero coordinates ``positions``, each listed once."""
+        rows = self._row_by_pivot
+        v = _as_set(positions)
+        # RREF rows carry no other pivot, so each clears exactly its own.
+        for p in [b for b in v if b in rows]:
+            v.symmetric_difference_update(rows[p])
+        return tuple(sorted(v))
+
     def reduce_bits(self, bits: int) -> int:
         rows = self._row_by_pivot
-        # RREF rows carry no other pivot bit, so each clears exactly its own.
         for p in bit_indices(bits & self._pivot_mask):
-            bits ^= rows[p]
+            bits ^= from_indices(rows[p])
         return bits
 
 
-def quotient_structure(ambient_dim: int, subspace: Iterable[int]) -> QuotientBasis:
-    """Row-reduce the ``subspace`` masks and package the quotient of the
-    ambient space."""
-    masks = list(subspace)
-    for v in masks:
-        if v < 0 or v >> ambient_dim:
-            raise ValueError("subspace vector has bits outside the ambient space")
-    reduced = _rref(masks)
-    pivots = tuple(sorted(reduced))
+def quotient_structure(
+    ambient_dim: int, subspace: Iterable[Collection[int]]
+) -> QuotientBasis:
+    """Row-reduce the sparse ``subspace`` rows and package the quotient of
+    the ambient space."""
+    pivots = echelon(subspace)
+    for r in pivots.values():
+        if min(r) < 0 or max(r) >= ambient_dim:
+            raise ValueError("subspace vector has positions outside the ambient space")
+    # Echelon row p has no position below p, and rows of higher pivot are
+    # reduced first, so clearing its other pivots brings in no new pivot.
+    order = sorted(pivots)
+    for p in reversed(order):
+        r = pivots[p]
+        for q in [b for b in r if b != p and b in pivots]:
+            r ^= pivots[q]
     # from a list: tuple() of a generator over-allocates, and CPython keeps
     # the shrunk block on its tuple free list until a full collection
-    return QuotientBasis(ambient_dim, tuple([reduced[p] for p in pivots]), pivots)
+    rows = tuple([tuple(sorted(pivots[p])) for p in order])
+    return QuotientBasis(ambient_dim, rows, tuple(order))
 
 
 def induced_map_on_quotient(m: Gf2Matrix, q: QuotientBasis) -> Gf2Matrix:
@@ -229,7 +271,7 @@ def induced_map_on_quotient(m: Gf2Matrix, q: QuotientBasis) -> Gf2Matrix:
         return acc
 
     for r in q.rows:
-        if q.reduce_bits(image_bits(r)):
+        if q.reduce_bits(image_bits(from_indices(r))):
             raise SubspaceNotPreservedError(
                 "map does not stabilise the subspace; no induced quotient map"
             )

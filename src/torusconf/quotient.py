@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .gf2 import from_indices, quotient_structure, submasks
+from .gf2 import quotient_structure, submasks
 from .torus import (
     KernelPresentation,
     Sigma2Module,
     free_module,
     kunneth_index,
     monomials,
+    offsets,
+    positions,
     swap_permutation,
     total_dim,
 )
@@ -70,14 +72,18 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
     term (complement of J) x J per subset J. Each generator is the cup
     product of a left-factor monomial m of degree i-d with the top relation;
     terms with a repeated index drop out, leaving the 2^(2d-i) terms whose
-    masks meet exactly in m.
+    masks meet exactly in m. A generator lists the positions of its terms,
+    in the order of ``_relation_terms``, each ranked by table lookup as
+    offsets(d, i)[S] + positions(d)[T] (see ``torus``); a test holds them
+    to the validating ``kunneth_index``.
     """
-    # monomials(d, i - d) is empty unless d <= i <= 2d
-    # from a list: tuple() of a generator over-allocates, and CPython keeps
+    lefts = monomials(d, i - d)  # empty unless d <= i <= 2d
+    off = offsets(d, i) if lefts else ()
+    pos = positions(d) if lefts else ()
+    # from lists: tuple() of a generator over-allocates, and CPython keeps
     # the shrunk block on its tuple free list until a full collection
     gens = tuple([
-        from_indices(kunneth_index(d, i, s, t) for s, t in _relation_terms(d, m))
-        for m in monomials(d, i - d)
+        tuple([off[s] + pos[t] for s, t in _relation_terms(d, m)]) for m in lefts
     ])
     return KernelPresentation(gens, quotient_structure(total_dim(d, i), gens))
 
@@ -120,7 +126,8 @@ def fixed_element_terms(d: int, i: int, m: int) -> tuple[tuple[int, int], ...]:
     return tuple(kept)
 
 
-def fixed_element_x(d: int, i: int, m: int) -> int:
+def fixed_element_x(d: int, i: int, m: int) -> tuple[int, ...]:
     """A representative whose coset is swap-fixed yet nonzero: half of the
-    kernel generator of ``m``, one term from each swapped pair."""
-    return from_indices(kunneth_index(d, i, *t) for t in fixed_element_terms(d, i, m))
+    kernel generator of ``m``, one term from each swapped pair, given by the
+    positions of its terms."""
+    return tuple([kunneth_index(d, i, *t) for t in fixed_element_terms(d, i, m)])

@@ -11,6 +11,7 @@ and table in the package is written in that order. The position of the
 degree-i class (S, T) is therefore off_i[S] + pos(T), where pos(T) is the
 index of T in monomials(d, |T|), and off_i[S], the sum of C(d, i - |S'|)
 over all masks S' < S, counts the classes whose left mask is smaller than S.
+The tables are ``offsets(d, i)`` and ``positions(d)``.
 
 Packed as the 2d-bit key (S << d) | T, the classes keep that order: the
 degree-i basis is monomials(2d, i) and the position of a class is
@@ -20,9 +21,12 @@ keys share a bit; otherwise the product is the class of the union of keys.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import Sequence
 
 from .gf2 import Gf2Matrix, QuotientBasis, bit_indices, from_indices, quotient_structure
 
@@ -53,7 +57,7 @@ def positions(d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _offsets(d: int, i: int) -> tuple[int, ...]:
+def offsets(d: int, i: int) -> tuple[int, ...]:
     """Entry S is the position of the first degree-i class with left mask S."""
     sizes = [binom(d, i - k) for k in range(d + 1)]
     out = []
@@ -87,7 +91,7 @@ def kunneth_index(d: int, i: int, left: int, right: int) -> int:
         left.bit_count() + right.bit_count() != i
     ):
         raise ValueError(f"({left}, {right}) is not a degree-{i} class for d={d}")
-    return _offsets(d, i)[left] + positions(d)[right]
+    return offsets(d, i)[left] + positions(d)[right]
 
 
 def total_dim(d: int, i: int) -> int:
@@ -122,19 +126,42 @@ def cup_vector(d: int, deg_a: int, a: int, deg_b: int, b: int) -> int:
     )
 
 
-def swap_permutation(d: int, i: int) -> tuple[int, ...]:
+def swap_permutation(d: int, i: int) -> array:
     """The swap on the degree-i tensor basis: entry j is the position of the
     swapped class (right, left) of basis class j = (left, right). Outside
-    0 <= i <= 2d the basis is empty, and no table of 2^d entries is built."""
+    0 <= i <= 2d the basis is empty, and no table of 2^d entries is built.
+
+    The entries of the block of left mask S are off_i[T] + pos(S) over the
+    right masks T of degree i - |S|. Each block is one integer sum: the
+    offsets off_i[T], packed as fixed-width lanes of one integer, plus pos(S)
+    times the integer with a 1 in every lane. No sum reaches C(2d, d), so no
+    lane carries into the next, and the integer's bytes in native order are
+    the block's array entries.
+    """
+    perm = array("I")
     if not 0 <= i <= 2 * d:
-        return ()
-    off = _offsets(d, i)
+        return perm
+    width = 8 * perm.itemsize
+    if binom(2 * d, d) > 1 << width:
+        raise OverflowError(f"C({2 * d}, {d}) positions do not fit a {width}-bit lane")
+    off = offsets(d, i)
     pos = positions(d)
-    perm: list[int] = []
+    # left degree k -> (packed offsets, ones in every lane, block byte length)
+    lanes = []
+    for k in range(d + 1):
+        rights = monomials(d, i - k)
+        packed = array("I", [off[t] for t in rights]).tobytes()
+        ones = array("I", [1]).tobytes() * len(rights)
+        lanes.append((
+            int.from_bytes(packed, sys.byteorder),
+            int.from_bytes(ones, sys.byteorder),
+            len(packed),
+        ))
     for smask in range(1 << d):
-        shift = pos[smask]
-        perm.extend(off[t] + shift for t in monomials(d, i - smask.bit_count()))
-    return tuple(perm)
+        packed, ones, size = lanes[smask.bit_count()]
+        if size:
+            perm.frombytes((packed + pos[smask] * ones).to_bytes(size, sys.byteorder))
+    return perm
 
 
 def sigma_matrix(d: int, i: int) -> Gf2Matrix:
@@ -171,9 +198,10 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class KernelPresentation:
-    """Relation generators in an ambient space, with the quotient by their span."""
+    """Relation generators in an ambient space, with the quotient by their
+    span; each generator lists the positions of its terms."""
 
-    generators: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
     quotient: QuotientBasis
 
     @property
@@ -190,7 +218,7 @@ class Sigma2Module:
     relations the module is the ambient space itself.
     """
 
-    swap: tuple[int, ...]
+    swap: Sequence[int]
     presentation: KernelPresentation
 
     def __post_init__(self) -> None:
@@ -202,7 +230,7 @@ class Sigma2Module:
         return self.presentation.quotient.dim
 
 
-def free_module(swap: tuple[int, ...]) -> Sigma2Module:
+def free_module(swap: Sequence[int]) -> Sigma2Module:
     """The permutation module of ``swap``: no relations."""
     return Sigma2Module(swap, KernelPresentation((), quotient_structure(len(swap), ())))
 

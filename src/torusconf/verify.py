@@ -88,10 +88,10 @@ def _fixed_cosets(d: int, i: int, quo: QuotientBasis) -> int | str:
     """The count of nonzero swap-fixed cosets, or the first failure's detail."""
     checked = 0
     for m in monomials(d, i - d):
-        rep = quo.reduce_bits(fixed_element_x(d, i, m))
-        if rep == 0:
+        rep = quo.reduce(fixed_element_x(d, i, m))
+        if not rep:
             return f"representative dies in degree {i} at mask {m}"
-        if quo.reduce_bits(_swapped_fixed_element(d, i, m)) != rep:
+        if quo.reduce(_swapped_fixed_element(d, i, m)) != rep:
             return f"coset not swap-fixed in degree {i} at mask {m}"
         checked += 1
     return checked
@@ -152,11 +152,12 @@ def _check_kernel_span(d: int, kernels) -> CheckEntry:
     )
 
 
-def _swapped_fixed_element(d: int, i: int, m: int) -> int:
-    """The swap of fixed_element_x(d, i, m), ranked term by swapped term."""
-    return from_indices(
+def _swapped_fixed_element(d: int, i: int, m: int) -> tuple[int, ...]:
+    """The positions of the swap of fixed_element_x(d, i, m), ranked term by
+    swapped term."""
+    return tuple([
         kunneth_index(d, i, right, left) for left, right in fixed_element_terms(d, i, m)
-    )
+    ])
 
 
 def _check_fixed_element(d: int, outcomes) -> CheckEntry:

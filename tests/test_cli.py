@@ -283,6 +283,32 @@ def test_out_that_cannot_be_written_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unwritable --out must be refused before the sweep")
+
+    monkeypatch.setattr(cli, "run_checks", refuse)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "check", "--dmax", "1", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert "sweep" not in err and ": ok" not in err
+
+
+def test_out_probe_keeps_an_existing_file_and_leaves_no_new_one(tmp_path, capsys):
+    # table --d 15 is refused after the probe, by the cap: the existing file
+    # is not truncated and a missing one is not left behind
+    existing = tmp_path / "existing.json"
+    existing.write_text("kept\n")
+    assert run_cli(capsys, "table", "--d", "15", "--out", str(existing))[0] == 2
+    assert existing.read_text() == "kept\n"
+    assert run_cli(capsys, "table", "--d", "15", "--out", str(tmp_path / "new"))[0] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.json"]
+    assert run_cli(capsys, "table", "--d", "2", "--out", str(existing))[0] == 0
+    assert json.loads(existing.read_text())["payload"]["d"] == 2
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])

@@ -31,8 +31,9 @@ from torusconf.torus import (
 
 def module(perm, relations=()):
     """A module on len(perm) coordinates swapped by ``perm``, modulo the span
-    of ``relations``."""
-    pres = KernelPresentation(tuple(relations), quotient_structure(len(perm), relations))
+    of the masks ``relations``."""
+    rows = tuple(tuple(bit_indices(v)) for v in relations)
+    pres = KernelPresentation(rows, quotient_structure(len(perm), rows))
     return Sigma2Module(tuple(perm), pres)
 
 
@@ -70,7 +71,9 @@ def test_decompose_conf_2_2():
 
 
 def test_decompose_rejects_non_involution():
-    for perm in ([1, 2, 0], [0, 2]):  # a 3-cycle; an entry out of range
+    # a 3-cycle; an entry out of range; negative entries, which would index
+    # from the end
+    for perm in ([1, 2, 0], [0, 2], [-1, 0], [0, -1]):
         with pytest.raises(ValueError, match="not an involution"):
             decompose(module(perm))
 

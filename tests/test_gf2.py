@@ -8,6 +8,7 @@ from torusconf.gf2 import (
     Gf2Matrix,
     SubspaceNotPreservedError,
     bit_indices,
+    echelon,
     from_indices,
     induced_map_on_quotient,
     quotient_structure,
@@ -26,6 +27,16 @@ def brute_span(masks, n):
 
 def mat(rows, ncols):
     return Gf2Matrix(len(rows), ncols, tuple(rows))
+
+
+def support(mask):
+    """The sparse row of a mask: the positions of its set bits."""
+    return list(bit_indices(mask))
+
+
+def quotient_of_masks(n, masks):
+    """quotient_structure on the sparse rows of the given masks."""
+    return quotient_structure(n, [support(v) for v in masks])
 
 
 # --- mask <-> bit positions ----------------------------------------------
@@ -108,25 +119,29 @@ def test_quotient_by_nothing_is_identity():
     q = quotient_structure(3, [])
     assert q.dim == 3
     for bits in range(8):
+        assert q.reduce(support(bits)) == tuple(support(bits))
         assert q.reduce_bits(bits) == bits
 
 
 def test_quotient_by_everything_is_zero():
-    q = quotient_structure(2, [0b01, 0b10])
+    q = quotient_structure(2, [[0], [1]])
     assert q.dim == 0
     for bits in range(4):
+        assert q.reduce(support(bits)) == ()
         assert q.reduce_bits(bits) == 0
 
 
 def test_quotient_coset_arithmetic_exhaustive():
-    q = quotient_structure(3, [0b111])
+    q = quotient_structure(3, [[0, 1, 2]])
     assert q.dim == 2
-    r100 = q.reduce_bits(0b001)
-    r011 = q.reduce_bits(0b110)
-    assert r100 ^ r011 == q.reduce_bits(0b111) == 0
-    # reduce_bits(v) == 0 exactly on the subspace, over all 2^3 vectors
+    assert q.rows == ((0, 1, 2),)
+    r100 = from_indices(q.reduce([0]))
+    r011 = from_indices(q.reduce([1, 2]))
+    assert r100 ^ r011 == from_indices(q.reduce([0, 1, 2])) == 0
+    # reduce(v) is empty exactly on the subspace, over all 2^3 vectors
     for bits in range(8):
         in_span = bits in (0, 0b111)
+        assert (q.reduce(support(bits)) == ()) == in_span
         assert (q.reduce_bits(bits) == 0) == in_span
 
 
@@ -141,29 +156,65 @@ def subspaces(draw, max_dim=7):
 @given(subspaces(), st.data())
 def test_reduce_idempotent_and_linear(sub, data):
     n, rows = sub
-    q = quotient_structure(n, rows)
+    q = quotient_of_masks(n, rows)
     u = data.draw(st.integers(0, (1 << n) - 1))
     v = data.draw(st.integers(0, (1 << n) - 1))
-    assert q.reduce_bits(q.reduce_bits(u)) == q.reduce_bits(u)
-    assert q.reduce_bits(u ^ v) == q.reduce_bits(u) ^ q.reduce_bits(v)
+
+    def reduce(mask):
+        return from_indices(q.reduce(support(mask)))
+
+    assert reduce(reduce(u)) == reduce(u)
+    assert reduce(u ^ v) == reduce(u) ^ reduce(v)
 
 
 @given(subspaces())
 def test_kernel_vectors_are_killed(sub):
     # the kernel of reduction is exactly the span of the subspace rows
     n, rows = sub
-    q = quotient_structure(n, rows)
+    q = quotient_of_masks(n, rows)
     span = brute_span(rows, n)
     for v in range(1 << n):
+        assert (q.reduce(support(v)) == ()) == (v in span)
         assert (q.reduce_bits(v) == 0) == (v in span)
 
 
 @given(subspaces())
 def test_quotient_dim_plus_span_dim(sub):
     n, rows = sub
-    q = quotient_structure(n, rows)
+    q = quotient_of_masks(n, rows)
     assert q.dim + len(q.pivots) == n
     assert len(brute_span(rows, n)) == 1 << len(q.pivots)
+
+
+@given(subspaces(max_dim=12), st.data())
+def test_sparse_quotient_matches_dense_oracles(sub, data):
+    # the sparse echelon and reduction against the dense rank and reduce_bits
+    n, rows = sub
+    sparse = [support(v) for v in rows]
+    assert len(echelon(sparse)) == rank(rows)
+    q = quotient_structure(n, sparse)
+    assert len(q.pivots) == rank(rows)
+    # reduced row echelon: row k has pivot k as its lowest position, and no
+    # row holds another row's pivot
+    pivots = set(q.pivots)
+    for p, row in zip(q.pivots, q.rows):
+        assert list(row) == sorted(set(row)) and row[0] == p
+        assert pivots.intersection(row) == {p}
+    assert rank(rows + [from_indices(r) for r in q.rows]) == rank(rows)
+    for v in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)):
+        rep = q.reduce(support(v))
+        assert rep == tuple(support(q.reduce_bits(v)))
+        assert not pivots.intersection(rep)  # supported on free coordinates
+        assert rank(rows + [v ^ from_indices(rep)]) == rank(rows)  # same coset
+
+
+def test_sparse_rows_list_each_position_once():
+    with pytest.raises(ValueError, match="twice"):
+        echelon([[1, 2, 1]])
+    with pytest.raises(ValueError, match="twice"):
+        quotient_structure(3, [[0, 0]])
+    with pytest.raises(ValueError, match="twice"):
+        quotient_structure(3, [[0, 1]]).reduce([2, 2])
 
 
 def lift(q, w):
@@ -182,7 +233,7 @@ def to_quotient(q, v):
 
 def test_lift_then_reduce_round_trip():
     # a mask on the free coordinates is its own coset representative
-    q = quotient_structure(3, [0b111])
+    q = quotient_structure(3, [[0, 1, 2]])
     for w in range(1 << q.dim):
         assert q.reduce_bits(lift(q, w)) == lift(q, w)
         assert to_quotient(q, lift(q, w)) == w
@@ -191,13 +242,13 @@ def test_lift_then_reduce_round_trip():
 # --- induced maps -------------------------------------------------------
 
 def test_induced_identity_is_identity():
-    q = quotient_structure(3, [0b111])
+    q = quotient_structure(3, [[0, 1, 2]])
     ind = induced_map_on_quotient(Gf2Matrix.identity(3), q)
     assert ind == Gf2Matrix.identity(2)
 
 
 def test_induced_on_zero_quotient():
-    q = quotient_structure(2, [0b01, 0b10])
+    q = quotient_structure(2, [[0], [1]])
     ind = induced_map_on_quotient(Gf2Matrix.identity(2), q)
     assert ind.shape == (0, 0)
 
@@ -205,7 +256,7 @@ def test_induced_on_zero_quotient():
 def test_induced_swap_mod_diagonal():
     # basis {ab, ba}, swap, modulo <ab + ba>: the induced map is 1x1 identity
     swap = mat([0b10, 0b01], 2)
-    q = quotient_structure(2, [0b11])
+    q = quotient_structure(2, [[0, 1]])
     ind = induced_map_on_quotient(swap, q)
     assert ind == Gf2Matrix.identity(1)
 
@@ -213,7 +264,7 @@ def test_induced_swap_mod_diagonal():
 def test_unstable_subspace_raises():
     # shift e0 -> e1 -> 0 does not stabilise <e0>
     m = mat([0, 0b01], 2)
-    q = quotient_structure(2, [0b01])
+    q = quotient_structure(2, [[0]])
     with pytest.raises(SubspaceNotPreservedError):
         induced_map_on_quotient(m, q)
 
@@ -222,12 +273,12 @@ def test_unstable_subspace_raises():
 def preserving_setups(draw, max_dim=6):
     """A quotient plus a random endomorphism mapping its subspace into itself."""
     n, rows = draw(subspaces(max_dim=max_dim))
-    q = quotient_structure(n, rows)
-    kernel_rows = list(q.rows)
+    q = quotient_of_masks(n, rows)
+    kernel_rows = [from_indices(r) for r in q.rows]
     cols = [0] * n
     for f in q.free_coords:
         cols[f] = draw(st.integers(0, (1 << n) - 1))
-    for p, row in zip(q.pivots, q.rows):
+    for p, row in zip(q.pivots, kernel_rows):
         img = 0
         for kr in kernel_rows:
             if draw(st.booleans()):
@@ -258,14 +309,16 @@ def test_induced_commutes_with_reduction(setup):
 # --- value types --------------------------------------------------------
 
 def test_vector_validation():
-    # a subspace vector must be a mask inside the ambient space
-    assert quotient_structure(2, [0b11]).dim == 1
+    # a subspace vector's positions must lie inside the ambient space
+    assert quotient_structure(2, [[0, 1]]).dim == 1
     with pytest.raises(ValueError):
-        quotient_structure(2, [0b100])
+        quotient_structure(2, [[2]])
     with pytest.raises(ValueError):
-        quotient_structure(2, [0b01, 1 << 70])
+        quotient_structure(2, [[0], [70]])
     with pytest.raises(ValueError):
-        quotient_structure(2, [-1])
+        quotient_structure(2, [[-1]])
+    with pytest.raises(ValueError):
+        quotient_structure(2, [[0, 5], [0, 5]])  # the second row cancels
 
 
 def test_vector_length_mismatch():

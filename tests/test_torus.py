@@ -80,7 +80,7 @@ def test_kunneth_canonical_order():
             assert list(kunneth_basis(d, i)) == pairs, (d, i)
             index = {pair: j for j, pair in enumerate(pairs)}
             assert all(kunneth_index(d, i, s, t) == j for (s, t), j in index.items())
-            assert swap_permutation(d, i) == tuple(index[t, s] for s, t in pairs)
+            assert list(swap_permutation(d, i)) == [index[t, s] for s, t in pairs]
 
 
 def test_kunneth_index_rejects_non_classes():
@@ -167,6 +167,42 @@ def test_sigma_is_permutation_involution():
             assert all(s.rows[p] == 1 << j for j, p in enumerate(perm))
 
 
+def per_entry_swap(d, i):
+    """The swap built one entry at a time: off_i[T] + pos(S) for each basis
+    class (S, T), with no lanes."""
+    if not 0 <= i <= 2 * d:
+        return []
+    off, pos = torus.offsets(d, i), torus.positions(d)
+    return [
+        off[t] + pos[s]
+        for s in range(1 << d)
+        for t in monomials(d, i - s.bit_count())
+    ]
+
+
+def test_lane_built_swap_matches_per_entry_reference():
+    for d in range(8):
+        for i in range(-1, 2 * d + 2):
+            perm = swap_permutation(d, i)
+            assert perm.typecode == "I"
+            assert list(perm) == per_entry_swap(d, i), (d, i)
+            if 0 <= i <= 2 * d:
+                rows = sigma_matrix(d, i).rows
+                assert len(rows) == len(perm)
+                assert all(rows[p] == 1 << j for j, p in enumerate(perm)), (d, i)
+
+
+def test_swap_refuses_positions_wider_than_a_lane(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lane width is checked before any table is built")
+
+    monkeypatch.setattr(torus, "offsets", refuse)
+    monkeypatch.setattr(torus, "positions", refuse)
+    # C(36, 18) > 2^32: the largest position would wrap into the next lane
+    with pytest.raises(OverflowError, match="lane"):
+        swap_permutation(18, 18)
+
+
 def test_sigma_fixed_point_count():
     # fixed basis classes in degree 2k are the diagonal ones: C(d, k) of them
     for d in range(1, 6):
@@ -220,7 +256,7 @@ def test_torus_module_outside_degrees_is_empty(monkeypatch):
         raise AssertionError("an empty degree must not build a 2^d-entry table")
 
     # at d = 40 the tables would have 2^40 entries, so fail fast
-    monkeypatch.setattr(torus, "_offsets", refuse)
+    monkeypatch.setattr(torus, "offsets", refuse)
     monkeypatch.setattr(torus, "positions", refuse)
     for i in (-1, 81, 100):
         assert decompose(torus_module(40, i)) == Decomposition(0, 0, 0)
