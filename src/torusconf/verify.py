@@ -19,8 +19,10 @@ from typing import Callable
 
 from .borel import CheckEntry, consistency_check, sw_height
 from .decomp import (
+    _decompose_with_fixed,
     conf_closed_form,
     decompose,
+    involution_fixed_points,
     published_closed_form,
     reduced_table,
 )
@@ -33,8 +35,8 @@ from .quotient import (
     phi_star_build,
 )
 from .torus import (
+    Decomposition,
     binom,
-    free_module,
     kunneth_index,
     monomials,
     positions,
@@ -100,22 +102,31 @@ def _fixed_cosets(d: int, i: int, quo: QuotientBasis) -> int | str:
 def _degree(d: int, i: int) -> tuple:
     """Build conf_module(d, i) once and record what the checks read of it:
     decompositions without and with relations, generator count and span
-    dim, fixed-element outcome. The module goes when this returns."""
+    dim, fixed-element outcome. The module goes when this returns.
+
+    Below degree 2d the swap is read once, by involution_fixed_points: the
+    relation-free decomposition is (n, fixed, (n - fixed) / 2) from its
+    fixed-point count, and the decomposition with relations takes the same
+    count. A swap that is not an involution fails both."""
     module = conf_module(d, i)
     kp = module.presentation
-    return (
-        # from degree 2d on conf_module is the empty shortcut
-        _attempt(lambda: decompose(
-            torus_module(d, i) if i >= 2 * d else free_module(module.swap)
-        )),
-        _attempt(lambda: decompose(module)),
-        (len(kp.generators), kp.span_dim),
-        _attempt(lambda: _fixed_cosets(d, i, kp.quotient)) if i < 2 * d else None,
-    )
+    if i < 2 * d:
+        n = len(module.swap)
+        fixed = _attempt(lambda: involution_fixed_points(module.swap))
+        torus = _attempt(lambda: Decomposition(n, _read(fixed), (n - _read(fixed)) // 2))
+        conf = _attempt(lambda: _decompose_with_fixed(module, _read(fixed)))
+        cosets = _attempt(lambda: _fixed_cosets(d, i, kp.quotient))
+    else:  # conf_module is the empty shortcut
+        torus = _attempt(lambda: decompose(torus_module(d, i)))
+        conf = _attempt(lambda: decompose(module))
+        cosets = None
+    return torus, conf, (len(kp.generators), kp.span_dim), cosets
 
 
 def _sweep(d: int) -> tuple[tuple, ...]:
-    """Each fact of _degree over degrees 0..2d+1, one module alive at a time."""
+    """Each fact of _degree over degrees 0..2d+1, one module alive at a time:
+    one swap pass per degree below 2d, and the torus modules of degrees 2d
+    and 2d + 1 decomposed outright."""
     return tuple(zip(*(_degree(d, i) for i in range(2 * d + 2))))
 
 
@@ -184,13 +195,51 @@ def _product_mask(ranks: tuple[int, ...], terms_a, terms_b) -> int:
 
 
 def _sampled_pairs(d: int):
-    rng = random.Random(_SAMPLE_SEED)
+    """The d = 5 product-law sample: the pairs that random.Random(_SAMPLE_SEED)
+    draws as randint(0, 2d), randint(0, 2d - a_deg), randrange(dim a_deg),
+    randrange(dim b_deg), each drawn here as randrange draws it, from
+    getrandbits with rejection, without randrange's argument handling."""
+    getrandbits = random.Random(_SAMPLE_SEED).getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     dims = [total_dim(d, i) for i in range(2 * d + 1)]
     for _ in range(_SAMPLE_PAIRS):
-        a_deg = rng.randint(0, 2 * d)
-        b_deg = rng.randint(0, 2 * d - a_deg)
-        a_idx = rng.randrange(dims[a_deg])
-        yield a_deg, a_idx, b_deg, rng.randrange(dims[b_deg])
+        a_deg = below(2 * d + 1)
+        b_deg = below(2 * d + 1 - a_deg)
+        a_idx = below(dims[a_deg])
+        yield a_deg, a_idx, b_deg, below(dims[b_deg])
+
+
+def _disjoint_pairs(d: int):
+    """The pairs (a_deg, a_idx, b_deg, b_idx) with a_deg + b_deg <= 2d whose
+    keys share no bit, in (a_deg, b_deg, a_idx, b_idx) order: 3^(2d) pairs,
+    one per way to put each of the 2d bits in a, in b or in neither. The
+    keys disjoint from a are the submasks of its complement, found in
+    increasing order, which is increasing b_idx within each degree."""
+    full = (1 << 2 * d) - 1
+    ranks = positions(2 * d)
+    for a_deg in range(2 * d + 1):
+        disjoint = []  # entry a_idx: the indices of its disjoint keys, by degree
+        for a in monomials(2 * d, a_deg):
+            rest = full ^ a
+            by_degree = [[] for _ in range(2 * d + 1 - a_deg)]
+            b = 0
+            while True:
+                by_degree[b.bit_count()].append(ranks[b])
+                if b == rest:
+                    break
+                b = (b - rest) & rest  # the next submask of rest
+            disjoint.append(by_degree)
+        for b_deg in range(2 * d + 1 - a_deg):
+            for a_idx, by_degree in enumerate(disjoint):
+                for b_idx in by_degree[b_deg]:
+                    yield a_deg, a_idx, b_deg, b_idx
 
 
 def _check_phi_star(d: int) -> CheckEntry:
@@ -211,25 +260,22 @@ def _check_phi_star(d: int) -> CheckEntry:
                 return CheckEntry(
                     f"phi-star-laws d={d}", False, f"not involutive in degree {i}"
                 )
+    # Only pairs with ab != 0 are compared. For d <= 4 every pair is counted
+    # and the others follow from compared pairs: a meeting pair is a = x a',
+    # b = x b' with x a shared degree-1 class, and the law on (x, a') and
+    # (x, b') gives phi*(a) phi*(b) = phi*(x)^2 phi*(a') phi*(b') = 0, since
+    # a degree-1 square vanishes in the exterior algebra over F2.
     if d <= 4:
-        how = "exhaustive over"
-        pairs = (
-            (a_deg, a_idx, b_deg, b_idx)
+        how, pairs = "exhaustive over", _disjoint_pairs(d)
+        count = sum(
+            len(keys[a_deg]) * len(keys[b_deg])
             for a_deg in range(2 * d + 1)
             for b_deg in range(2 * d + 1 - a_deg)
-            for a_idx in range(total_dim(d, a_deg))
-            for b_idx in range(total_dim(d, b_deg))
         )
     else:
-        how, pairs = "sampled on", _sampled_pairs(d)
-    count = 0
+        how, pairs, count = "sampled on", _sampled_pairs(d), _SAMPLE_PAIRS
     for a_deg, a_idx, b_deg, b_idx in pairs:
         a, b = keys[a_deg][a_idx], keys[b_deg][b_idx]
-        # Only pairs with ab != 0 are compared. For d <= 4 the others follow
-        # from compared pairs: a meeting pair is a = x a', b = x b' with x a
-        # shared degree-1 class, and the law on (x, a') and (x, b') gives
-        # phi*(a) phi*(b) = phi*(x)^2 phi*(a') phi*(b') = 0, since a degree-1
-        # square vanishes in the exterior algebra over F2.
         if not a & b:
             lhs = masks[a_deg + b_deg][ranks[a | b]]
             rhs = _product_mask(ranks, columns[a_deg][a_idx], columns[b_deg][b_idx])
@@ -238,7 +284,6 @@ def _check_phi_star(d: int) -> CheckEntry:
                     f"phi-star-laws d={d}", False,
                     f"product law fails in degrees ({a_deg}, {b_deg})",
                 )
-        count += 1
     return CheckEntry(
         f"phi-star-laws d={d}", True, f"involutive; product law {how} {count} pairs"
     )

@@ -8,6 +8,7 @@ from torusconf.decomp import (
     closed_form_report,
     conf_closed_form,
     decompose,
+    involution_fixed_points,
     published_closed_form,
     reduced_table,
 )
@@ -120,6 +121,45 @@ def test_decompose_matches_dense_oracle_random(case):
     sigma = permutation_matrix(perm)
     assert decompose(m) == dense_decompose(sigma, m.presentation.quotient)
     assert decompose(module(perm)) == dense_decompose(sigma)
+
+
+def per_entry_fixed_points(perm):
+    """The plain reference for involution_fixed_points: every entry is looked
+    up, must lie in range and must map back; None when one does not."""
+    n = len(perm)
+    for j, p in enumerate(perm):
+        if not 0 <= p < n or perm[p] != j:
+            return None
+    return sum(p == j for j, p in enumerate(perm))
+
+
+@st.composite
+def edited_involutions(draw):
+    """An involution, left as it is or edited into a near miss: one entry
+    set to any value (negative, out of range or a duplicate of another
+    entry), or three entries made a 3-cycle."""
+    perm, _ = draw(involutions_with_stable_subspaces())
+    n = len(perm)
+    edit = draw(st.sampled_from(["none", "entry", "duplicate", "cycle"]))
+    if edit == "entry" and n:
+        perm[draw(st.integers(0, n - 1))] = draw(st.integers(-n - 2, n + 2))
+    elif edit == "duplicate" and n >= 2:
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        perm[a] = perm[b]
+    elif edit == "cycle" and n >= 3:
+        a, b, c = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+        perm[a], perm[b], perm[c] = b, c, a
+    return perm
+
+
+@given(st.one_of(edited_involutions(), st.lists(st.integers(-3, 12), max_size=10)))
+def test_involution_fixed_points_matches_the_per_entry_loop(perm):
+    expected = per_entry_fixed_points(perm)
+    if expected is None:
+        with pytest.raises(ValueError, match="not an involution"):
+            involution_fixed_points(perm)
+    else:
+        assert involution_fixed_points(perm) == expected
 
 
 # --- closed forms ---------------------------------------------------------------

@@ -1,10 +1,16 @@
+import random
 import sys
+from array import array
 from collections import Counter
 
-from torusconf import torus, verify
+import pytest
+
+from torusconf import decomp, torus, verify
 from torusconf.gf2 import from_indices, quotient_structure
-from torusconf.quotient import fixed_element_x, phi_star_build
+from torusconf.quotient import conf_module, fixed_element_x, phi_star_build
 from torusconf.torus import (
+    KernelPresentation,
+    Sigma2Module,
     cup_vector,
     kunneth_index,
     monomials,
@@ -82,6 +88,72 @@ def test_run_checks_builds_each_swap_once(monkeypatch):
             monkeypatch.setattr(module, "swap_permutation", counted)
     assert run_checks(4).passed
     assert [built[4, i] for i in range(10)] == [1] * 10
+
+
+def test_run_checks_reads_each_swap_once(monkeypatch):
+    # below degree 2d one involution pass serves both decompositions
+    passes = Counter()
+    current = []
+    original_pass = decomp.involution_fixed_points
+    original_degree = verify._degree
+
+    def counted(perm):
+        passes[current[-1]] += 1
+        return original_pass(perm)
+
+    def degree(d, i):
+        current.append((d, i))
+        return original_degree(d, i)
+
+    monkeypatch.setattr(decomp, "involution_fixed_points", counted)
+    monkeypatch.setattr(verify, "involution_fixed_points", counted)
+    monkeypatch.setattr(verify, "_degree", degree)
+    assert run_checks(4).passed
+    assert [passes[4, i] for i in range(8)] == [1] * 8
+
+
+def patch_conf_module(monkeypatch, at, edit):
+    """Make verify's conf_module(*at) return edit(conf_module(*at))."""
+    def patched(d, i):
+        m = conf_module(d, i)
+        return edit(m) if (d, i) == at else m
+
+    monkeypatch.setattr(verify, "conf_module", patched)
+
+
+def failed_checks(dmax):
+    return {e.name: e.detail for e in run_checks(dmax).entries if not e.passed}
+
+
+def test_non_involutive_swap_fails_both_oracles(monkeypatch):
+    def three_cycle(m):
+        swap = array("I", m.swap)
+        swap[0], swap[1], swap[2] = 1, 2, 0
+        with pytest.raises(ValueError):
+            decomp.involution_fixed_points(swap)
+        return Sigma2Module(swap, m.presentation)
+
+    patch_conf_module(monkeypatch, (3, 2), three_cycle)
+    failed = failed_checks(3)
+    # poincare-identity reads the same decompositions as conf-oracle
+    assert set(failed) == {"torus-oracle d=3", "conf-oracle d=3", "poincare-identity d=3"}
+    for detail in failed.values():
+        assert detail == "raised ValueError('sigma is not an involution')"
+
+
+def test_unstable_relation_subspace_fails_only_conf_oracle(monkeypatch):
+    def unstable(m):
+        # one relation e_j on a swapped class j: its swap e_sigma(j) is not
+        # in the span
+        j = next(j for j, p in enumerate(m.swap) if p != j)
+        rows = ((j,),)
+        return Sigma2Module(m.swap, KernelPresentation(rows, quotient_structure(len(m.swap), rows)))
+
+    patch_conf_module(monkeypatch, (3, 2), unstable)
+    failed = failed_checks(3)
+    assert set(failed) == {"conf-oracle d=3", "poincare-identity d=3"}
+    for detail in failed.values():
+        assert detail.startswith("raised SubspaceNotPreservedError("), detail
 
 
 def test_raise_in_degree_work_fails_only_its_check(monkeypatch):
@@ -192,21 +264,58 @@ def test_decoded_product_matches_cup_vector():
     assert nonzero > 0
 
 
+def all_pairs(d):
+    """Every product-law pair (a_deg, a_idx, b_deg, b_idx) with
+    a_deg + b_deg <= 2d, in (a_deg, b_deg, a_idx, b_idx) order."""
+    return [
+        (a_deg, a_idx, b_deg, b_idx)
+        for a_deg in range(2 * d + 1)
+        for b_deg in range(2 * d + 1 - a_deg)
+        for a_idx in range(total_dim(d, a_deg))
+        for b_idx in range(total_dim(d, b_deg))
+    ]
+
+
+def keys_meet(d, pair):
+    a_deg, a_idx, b_deg, b_idx = pair
+    return monomials(2 * d, a_deg)[a_idx] & monomials(2 * d, b_deg)[b_idx] != 0
+
+
+def test_product_law_compares_the_disjoint_pairs_in_order():
+    # the d <= 4 check enumerates only the pairs whose keys share no bit
+    # and reports the count of all pairs
+    for d, count in ((1, 11), (2, 163), (3, 2510), (4, 39203)):
+        pairs = all_pairs(d)
+        assert len(pairs) == count
+        expected = [pair for pair in pairs if not keys_meet(d, pair)]
+        assert list(verify._disjoint_pairs(d)) == expected, d
+        assert len(expected) == 3 ** (2 * d)
+        entry = verify._check_phi_star(d)
+        assert entry.detail == f"involutive; product law exhaustive over {count} pairs"
+
+
+def test_sampled_pairs_follow_the_randrange_stream():
+    # the d = 5 sample draws from getrandbits as randint and randrange do
+    for d in range(1, 9):
+        rng = random.Random(verify._SAMPLE_SEED)
+        dims = [total_dim(d, i) for i in range(2 * d + 1)]
+        expected = []
+        for _ in range(verify._SAMPLE_PAIRS):
+            a_deg = rng.randint(0, 2 * d)
+            b_deg = rng.randint(0, 2 * d - a_deg)
+            a_idx = rng.randrange(dims[a_deg])
+            expected.append((a_deg, a_idx, b_deg, rng.randrange(dims[b_deg])))
+        assert list(verify._sampled_pairs(d)) == expected, d
+
+
 def meeting_pairs(d):
-    """The product-law pairs of _check_phi_star(d) whose keys share a bit."""
+    """The product-law pairs of _check_phi_star(d) that it counts without
+    comparing: for d <= 4 the complement of the compared pairs in all pairs,
+    for d = 5 the sampled pairs whose keys share a bit."""
     if d <= 4:
-        pairs = (
-            (a_deg, a_idx, b_deg, b_idx)
-            for a_deg in range(2 * d + 1)
-            for b_deg in range(2 * d + 1 - a_deg)
-            for a_idx in range(total_dim(d, a_deg))
-            for b_idx in range(total_dim(d, b_deg))
-        )
-    else:
-        pairs = verify._sampled_pairs(d)
-    for a_deg, a_idx, b_deg, b_idx in pairs:
-        if monomials(2 * d, a_deg)[a_idx] & monomials(2 * d, b_deg)[b_idx]:
-            yield a_deg, a_idx, b_deg, b_idx
+        compared = set(verify._disjoint_pairs(d))
+        return [pair for pair in all_pairs(d) if pair not in compared]
+    return [pair for pair in verify._sampled_pairs(d) if keys_meet(d, pair)]
 
 
 def test_pullback_product_of_a_meeting_pair_is_zero():
