@@ -20,14 +20,14 @@ exactly when v is swap-invariant and vanishes on the fixed coordinates.
 Applying h to the reduced rows of K turns the intersection into one small
 rank.
 
-The swap is a compact array of n positions, read in one pass,
-``involution_fixed_points``, that checks it is an involution and counts its
-fixed points; only the entries that point up the array are looked up. A
-caller that decomposes several modules on one swap (the relation-free twin
-and V/K in ``check``) runs the pass once and hands the count on. The rows
-of K, their swaps and their images under h are sparse, the positions of
-their terms, so the stability check and the rank cost the number of terms,
-not n: no n x n matrix and no length-n row is formed.
+The swap is a compact array of n positions. Its fixed-point count is the
+module's ``fixed_points``, read in one pass that checks the swap is an
+involution and looks up only the entries that point up the array, and
+cached on the module: ``check`` takes the relation-free twin's
+decomposition from the same count after decomposing V/K. The rows of K,
+their swaps and their images under h are sparse, the positions of their
+terms, so the stability check and the rank cost the number of terms, not
+n: no n x n matrix and no length-n row is formed.
 
 The closed forms come in two flavours: the corrected count, which the brute
 force must match exactly, and the count as published, which in the odd case
@@ -39,37 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .gf2 import SubspaceNotPreservedError, echelon
 from .quotient import conf_module
 from .torus import Decomposition, Sigma2Module, binom, torus_closed_form
-
-
-def involution_fixed_points(perm: Sequence[int]) -> int:
-    """The number of fixed points of ``perm``, read in one pass.
-
-    Raises ValueError unless ``perm`` is an involution of range(len(perm)).
-    """
-    # Each entry j points up (perm[j] > j), is fixed or points down (below j,
-    # negatives included); only the up-entries are looked up. An up-entry j
-    # with perm[j] = p in range and perm[p] = j makes p a down-entry, and no
-    # two up-entries reach the same p, since perm[p] names only one of them.
-    # So the up-entries inject into the down-entries, and 2 up + fixed = n
-    # says there are as many of each: every down-entry k is the image of an
-    # up-entry j, so perm[k] = j is in range and perm[perm[k]] = k.
-    n = len(perm)
-    fixed = up = 0
-    for j, p in enumerate(perm):
-        if p > j:
-            if p >= n or perm[p] != j:
-                raise ValueError("sigma is not an involution")
-            up += 1
-        elif p == j:
-            fixed += 1
-    if 2 * up + fixed != n:
-        raise ValueError("sigma is not an involution")
-    return fixed
 
 
 def decompose(m: Sigma2Module) -> Decomposition:
@@ -79,12 +52,7 @@ def decompose(m: Sigma2Module) -> Decomposition:
     SubspaceNotPreservedError unless it maps the relation subspace into
     itself.
     """
-    return _decompose_with_fixed(m, involution_fixed_points(m.swap))
-
-
-def _decompose_with_fixed(m: Sigma2Module, fixed: int) -> Decomposition:
-    """decompose(m) for a swap already read by involution_fixed_points,
-    which counted ``fixed`` fixed points."""
+    fixed = m.fixed_points
     perm = m.swap
     q = m.presentation.quotient
     images = []

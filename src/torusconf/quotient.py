@@ -102,13 +102,15 @@ def conf_module(d: int, i: int) -> Sigma2Module:
     return Sigma2Module(swap_permutation(d, i), kp)
 
 
-def fixed_element_terms(d: int, i: int, m: int) -> tuple[tuple[int, int], ...]:
-    """The terms (left, right) of fixed_element_x(d, i, m).
+def fixed_element_x(d: int, i: int, m: int) -> tuple[int, ...]:
+    """A representative whose coset is swap-fixed yet nonzero: half of the
+    kernel generator of ``m``, one term from each swapped pair, given by the
+    positions of its terms.
 
-    Take the kernel generator attached to the monomial mask ``m`` and keep
-    one term from each swapped pair: all terms whose left degree exceeds
-    half the free weight, plus, when the free weight 2d-i is even, the
-    middle-layer terms whose right free part is the smaller mask of its pair.
+    The kept terms (left, right) of the generator attached to the monomial
+    mask ``m`` are all terms whose left degree exceeds half the free weight,
+    plus, when the free weight 2d-i is even, the middle-layer terms whose
+    right free part is the smaller mask of its pair.
     """
     if not d <= i < 2 * d:
         raise ValueError("degree must satisfy d <= i < 2d")
@@ -122,12 +124,5 @@ def fixed_element_terms(d: int, i: int, m: int) -> tuple[tuple[int, int], ...]:
     for left, right in _relation_terms(d, m):
         a = right ^ m
         if 2 * a.bit_count() < n or (2 * a.bit_count() == n and a < free ^ a):
-            kept.append((left, right))
+            kept.append(kunneth_index(d, i, left, right))
     return tuple(kept)
-
-
-def fixed_element_x(d: int, i: int, m: int) -> tuple[int, ...]:
-    """A representative whose coset is swap-fixed yet nonzero: half of the
-    kernel generator of ``m``, one term from each swapped pair, given by the
-    positions of its terms."""
-    return tuple([kunneth_index(d, i, *t) for t in fixed_element_terms(d, i, m)])

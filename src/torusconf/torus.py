@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
@@ -209,6 +209,32 @@ class KernelPresentation:
         return len(self.quotient.pivots)
 
 
+def involution_fixed_points(perm: Sequence[int]) -> int:
+    """The number of fixed points of ``perm``, read in one pass.
+
+    Raises ValueError unless ``perm`` is an involution of range(len(perm)).
+    """
+    # Each entry j points up (perm[j] > j), is fixed or points down (below j,
+    # negatives included); only the up-entries are looked up. An up-entry j
+    # with perm[j] = p in range and perm[p] = j makes p a down-entry, and no
+    # two up-entries reach the same p, since perm[p] names only one of them.
+    # So the up-entries inject into the down-entries, and 2 up + fixed = n
+    # says there are as many of each: every down-entry k is the image of an
+    # up-entry j, so perm[k] = j is in range and perm[perm[k]] = k.
+    n = len(perm)
+    fixed = up = 0
+    for j, p in enumerate(perm):
+        if p > j:
+            if p >= n or perm[p] != j:
+                raise ValueError("sigma is not an involution")
+            up += 1
+        elif p == j:
+            fixed += 1
+    if 2 * up + fixed != n:
+        raise ValueError("sigma is not an involution")
+    return fixed
+
+
 @dataclass(frozen=True)
 class Sigma2Module:
     """An F2-vector space with an involution: the ambient tensor basis, which
@@ -228,6 +254,13 @@ class Sigma2Module:
     @property
     def dim(self) -> int:
         return self.presentation.quotient.dim
+
+    @cached_property
+    def fixed_points(self) -> int:
+        """The number of basis vectors ``swap`` fixes, read in one pass the
+        first time it is asked for. Raises ValueError, and caches nothing,
+        unless ``swap`` is an involution."""
+        return involution_fixed_points(self.swap)
 
 
 def free_module(swap: Sequence[int]) -> Sigma2Module:

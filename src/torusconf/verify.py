@@ -18,26 +18,13 @@ from functools import partial
 from typing import Callable
 
 from .borel import CheckEntry, consistency_check, sw_height
-from .decomp import (
-    _decompose_with_fixed,
-    conf_closed_form,
-    decompose,
-    involution_fixed_points,
-    published_closed_form,
-    reduced_table,
-)
-from .gf2 import QuotientBasis, from_indices
-from .quotient import (
-    conf_module,
-    fixed_element_terms,
-    fixed_element_x,
-    kernel_generators,
-    phi_star_build,
-)
+from .decomp import conf_closed_form, decompose, published_closed_form, reduced_table
+from .gf2 import from_indices, submasks
+from .quotient import conf_module, fixed_element_x, kernel_generators, phi_star_build
 from .torus import (
     Decomposition,
+    Sigma2Module,
     binom,
-    kunneth_index,
     monomials,
     positions,
     torus_closed_form,
@@ -86,14 +73,17 @@ def _read(fact):  # a fact whose work raised raises again in its check
     return fact
 
 
-def _fixed_cosets(d: int, i: int, quo: QuotientBasis) -> int | str:
-    """The count of nonzero swap-fixed cosets, or the first failure's detail."""
+def _fixed_cosets(d: int, i: int, module: Sigma2Module) -> int | str:
+    """The count of nonzero cosets fixed by the module's swap, or the first
+    failure's detail."""
+    quo, swap = module.presentation.quotient, module.swap
     checked = 0
     for m in monomials(d, i - d):
-        rep = quo.reduce(fixed_element_x(d, i, m))
+        x = fixed_element_x(d, i, m)
+        rep = quo.reduce(x)
         if not rep:
             return f"representative dies in degree {i} at mask {m}"
-        if quo.reduce(_swapped_fixed_element(d, i, m)) != rep:
+        if quo.reduce([swap[b] for b in x]) != rep:
             return f"coset not swap-fixed in degree {i} at mask {m}"
         checked += 1
     return checked
@@ -101,24 +91,24 @@ def _fixed_cosets(d: int, i: int, quo: QuotientBasis) -> int | str:
 
 def _degree(d: int, i: int) -> tuple:
     """Build conf_module(d, i) once and record what the checks read of it:
-    decompositions without and with relations, generator count and span
+    decompositions with and without relations, generator count and span
     dim, fixed-element outcome. The module goes when this returns.
 
-    Below degree 2d the swap is read once, by involution_fixed_points: the
-    relation-free decomposition is (n, fixed, (n - fixed) / 2) from its
-    fixed-point count, and the decomposition with relations takes the same
-    count. A swap that is not an involution fails both."""
+    Below degree 2d the swap is read once: decompose reads the module's
+    fixed_points, and the relation-free decomposition is
+    (n, fixed, (n - fixed) / 2) from the same cached count. A swap that is
+    not an involution caches no count and fails both."""
     module = conf_module(d, i)
     kp = module.presentation
+    conf = _attempt(lambda: decompose(module))
     if i < 2 * d:
         n = len(module.swap)
-        fixed = _attempt(lambda: involution_fixed_points(module.swap))
-        torus = _attempt(lambda: Decomposition(n, _read(fixed), (n - _read(fixed)) // 2))
-        conf = _attempt(lambda: _decompose_with_fixed(module, _read(fixed)))
-        cosets = _attempt(lambda: _fixed_cosets(d, i, kp.quotient))
+        torus = _attempt(
+            lambda: Decomposition(n, module.fixed_points, (n - module.fixed_points) // 2)
+        )
+        cosets = _attempt(lambda: _fixed_cosets(d, i, module))
     else:  # conf_module is the empty shortcut
         torus = _attempt(lambda: decompose(torus_module(d, i)))
-        conf = _attempt(lambda: decompose(module))
         cosets = None
     return torus, conf, (len(kp.generators), kp.span_dim), cosets
 
@@ -161,14 +151,6 @@ def _check_kernel_span(d: int, kernels) -> CheckEntry:
     return CheckEntry(
         f"kernel-span d={d}", True, "generators independent, counts as expected"
     )
-
-
-def _swapped_fixed_element(d: int, i: int, m: int) -> tuple[int, ...]:
-    """The positions of the swap of fixed_element_x(d, i, m), ranked term by
-    swapped term."""
-    return tuple([
-        kunneth_index(d, i, right, left) for left, right in fixed_element_terms(d, i, m)
-    ])
 
 
 def _check_fixed_element(d: int, outcomes) -> CheckEntry:
@@ -220,21 +202,16 @@ def _disjoint_pairs(d: int):
     """The pairs (a_deg, a_idx, b_deg, b_idx) with a_deg + b_deg <= 2d whose
     keys share no bit, in (a_deg, b_deg, a_idx, b_idx) order: 3^(2d) pairs,
     one per way to put each of the 2d bits in a, in b or in neither. The
-    keys disjoint from a are the submasks of its complement, found in
+    keys disjoint from a are the submasks of its complement, taken in
     increasing order, which is increasing b_idx within each degree."""
     full = (1 << 2 * d) - 1
     ranks = positions(2 * d)
     for a_deg in range(2 * d + 1):
         disjoint = []  # entry a_idx: the indices of its disjoint keys, by degree
         for a in monomials(2 * d, a_deg):
-            rest = full ^ a
             by_degree = [[] for _ in range(2 * d + 1 - a_deg)]
-            b = 0
-            while True:
+            for b in reversed(tuple(submasks(full ^ a))):
                 by_degree[b.bit_count()].append(ranks[b])
-                if b == rest:
-                    break
-                b = (b - rest) & rest  # the next submask of rest
             disjoint.append(by_degree)
         for b_deg in range(2 * d + 1 - a_deg):
             for a_idx, by_degree in enumerate(disjoint):

@@ -175,6 +175,7 @@ def test_criterion_11_determinism():
     first = subprocess.run(cmd, capture_output=True, check=True)
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
+    assert first.stdout.endswith(b"\n")
     doc = json.loads(first.stdout)
     assert doc["payload"]["passed"]
     _passed(11, "byte-identical check output")

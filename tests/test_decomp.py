@@ -8,7 +8,6 @@ from torusconf.decomp import (
     closed_form_report,
     conf_closed_form,
     decompose,
-    involution_fixed_points,
     published_closed_form,
     reduced_table,
 )
@@ -25,6 +24,7 @@ from torusconf.torus import (
     Decomposition,
     KernelPresentation,
     Sigma2Module,
+    involution_fixed_points,
     sigma_matrix,
     torus_module,
 )

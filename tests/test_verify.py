@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from torusconf import decomp, torus, verify
+from torusconf import torus, verify
 from torusconf.gf2 import from_indices, quotient_structure
-from torusconf.quotient import conf_module, fixed_element_x, phi_star_build
+from torusconf.quotient import conf_module, phi_star_build
 from torusconf.torus import (
     KernelPresentation,
     Sigma2Module,
@@ -15,10 +15,9 @@ from torusconf.torus import (
     kunneth_index,
     monomials,
     positions,
-    swap_permutation,
     total_dim,
 )
-from torusconf.verify import _swapped_fixed_element, poincare_product, run_checks
+from torusconf.verify import poincare_product, run_checks
 
 
 def test_poincare_product_small():
@@ -59,18 +58,6 @@ def test_run_checks_rejects_bad_dmax():
         run_checks(0)
 
 
-def test_swapped_fixed_element_matches_the_swap_permutation():
-    # the fixed-element check ranks the swapped kept terms itself; the swap
-    # permutation applied to fixed_element_x is the independent reading
-    for d in range(1, 7):
-        for i in range(d, 2 * d):
-            perm = swap_permutation(d, i)
-            for m in monomials(d, i - d):
-                x = fixed_element_x(d, i, m)
-                expected = tuple(perm[b] for b in x)
-                assert _swapped_fixed_element(d, i, m) == expected, (d, i, m)
-
-
 def test_run_checks_builds_each_swap_once(monkeypatch):
     # one sweep per d: the torus oracle decomposes the relation-free module
     # on the swap that conf_module built, so no (d, i) swap is built twice
@@ -94,7 +81,7 @@ def test_run_checks_reads_each_swap_once(monkeypatch):
     # below degree 2d one involution pass serves both decompositions
     passes = Counter()
     current = []
-    original_pass = decomp.involution_fixed_points
+    original_pass = torus.involution_fixed_points
     original_degree = verify._degree
 
     def counted(perm):
@@ -105,8 +92,7 @@ def test_run_checks_reads_each_swap_once(monkeypatch):
         current.append((d, i))
         return original_degree(d, i)
 
-    monkeypatch.setattr(decomp, "involution_fixed_points", counted)
-    monkeypatch.setattr(verify, "involution_fixed_points", counted)
+    monkeypatch.setattr(torus, "involution_fixed_points", counted)
     monkeypatch.setattr(verify, "_degree", degree)
     assert run_checks(4).passed
     assert [passes[4, i] for i in range(8)] == [1] * 8
@@ -130,7 +116,7 @@ def test_non_involutive_swap_fails_both_oracles(monkeypatch):
         swap = array("I", m.swap)
         swap[0], swap[1], swap[2] = 1, 2, 0
         with pytest.raises(ValueError):
-            decomp.involution_fixed_points(swap)
+            torus.involution_fixed_points(swap)
         return Sigma2Module(swap, m.presentation)
 
     patch_conf_module(monkeypatch, (3, 2), three_cycle)
@@ -154,6 +140,24 @@ def test_unstable_relation_subspace_fails_only_conf_oracle(monkeypatch):
     assert set(failed) == {"conf-oracle d=3", "poincare-identity d=3"}
     for detail in failed.values():
         assert detail.startswith("raised SubspaceNotPreservedError("), detail
+
+
+def test_fixed_element_reads_the_module_swap(monkeypatch):
+    # a swap that fixes the two middle classes of degree 2 at d = 2 is still
+    # an involution and still stabilises the one relation, the sum of all
+    # four classes (S, full \ S), but it no longer fixes the coset of
+    # fixed_element_x(2, 2, 0) = (0b11, 0b00) + (0b10, 0b01)
+    def middle_fixed(m):
+        swap = array("I", m.swap)
+        for left, right in ((0b10, 0b01), (0b01, 0b10)):
+            j = kunneth_index(2, 2, left, right)
+            swap[j] = j
+        return Sigma2Module(swap, m.presentation)
+
+    patch_conf_module(monkeypatch, (2, 2), middle_fixed)
+    failed = failed_checks(2)
+    assert set(failed) == {"torus-oracle d=2", "fixed-element d=2"}
+    assert failed["fixed-element d=2"] == "coset not swap-fixed in degree 2 at mask 0"
 
 
 def test_raise_in_degree_work_fails_only_its_check(monkeypatch):
