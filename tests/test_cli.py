@@ -355,6 +355,14 @@ def test_documents_match_recorded_digests():
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
 
 
+def test_check_output_is_byte_identical_across_runs():
+    cmd = [sys.executable, "-m", "torusconf.cli", "check", "--dmax", "2"]
+    first = subprocess.run(cmd, capture_output=True, check=True)
+    second = subprocess.run(cmd, capture_output=True, check=True)
+    assert first.stdout == second.stdout
+    assert first.stdout.endswith(b"\n")
+
+
 def test_package_import_and_exit_print_nothing():
     # the benchmark reads its result off the last stdout line, after the
     # package has been imported and before the interpreter exits
