@@ -56,10 +56,6 @@ class SSPage:
                 raise ValueError("dimensions must be nonnegative")
 
     @property
-    def page_label(self) -> str:
-        return PAGE_INF if self.page is None else str(self.page)
-
-    @property
     def qmax(self) -> int:
         return len(self.rows) - 1
 
@@ -199,45 +195,21 @@ def uconf_fixture(d: int) -> UconfModule:
     return UconfModule(d, _UCONF[d])
 
 
-@dataclass(frozen=True)
-class SwHeight:
-    """Height of the first characteristic class of the two-fold cover."""
+def sw_height(d: int) -> int:
+    """The height of the first characteristic class of the two-fold cover,
+    read off the stored limit page for d in {2, 3}: row q = 0 holds the
+    powers of the class, so the height is the column before its first zero.
 
-    d: int
-    height: int
-    evidence: str
-    notes: tuple[str, ...] = ()
-
-
-def sw_height(d: int) -> SwHeight:
-    """The height equals d for every d >= 2; for d in {2, 3} this is read off
-    the stored limit page (row q = 0 has ones through column d, zero after)."""
-    if d < 2:
-        raise ValueError("height is computed for d >= 2; read d = 1 from its table")
-    if d in (2, 3):
-        row0 = fixture_page(d, PAGE_INF).rows[0]
-        if any(row0[p] != 1 for p in range(d + 1)) or row0[d + 1] != 0:
-            raise ValueError(f"limit-page row q=0 contradicts height {d}")
-        return SwHeight(d, d, "fixture-verified")
-    return SwHeight(
-        d, d, "theorem",
-        notes=(
-            f"upper bound {d}: the configuration space embeds equivariantly in "
-            f"that of R^{d + 1}, whose quotient has height {d}",
-            f"lower bound {d}: the collapsing sequence of the ambient "
-            f"torus-square Borel construction surjects onto rows q <= {d}, "
-            "so no class of the bottom row dies there",
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    """One named verification outcome with a human-readable detail."""
-
-    name: str
-    passed: bool
-    detail: str = ""
+    For every d >= 2 the height is d. Upper bound: the configuration space
+    embeds equivariantly in that of R^(d+1), whose quotient has height d.
+    Lower bound: the collapsing sequence of the ambient torus-square Borel
+    construction surjects onto rows q <= d, so no class of the bottom row
+    dies there. Only d in {2, 3} is read here; any other d raises.
+    """
+    row0 = fixture_page(d, PAGE_INF).rows[0]
+    if 0 not in row0 or any(row0[row0.index(0):]):
+        raise ValueError(f"limit-page row q=0 {row0} has no zero or revives after one")
+    return row0.index(0) - 1
 
 
 def attribute_rank_drops(
@@ -317,15 +289,15 @@ def attribute_rank_drops(
     return (True, None) if ok else (False, fail[0] if fail else None)
 
 
-def consistency_check(d: int) -> tuple[CheckEntry, ...]:
+def consistency_check(d: int) -> tuple[bool, str]:
     """Cross-validate the computed second page, the stored later pages and
-    the graded module structure for d in {2, 3}: four named outcomes."""
+    the graded module structure for d in {2, 3}. Four sub-checks run; the
+    verdict names all four when they pass, else the first that fails."""
     if d not in (2, 3):
         raise ValueError("consistency data exists only for d in {2, 3}")
     fix2 = fixture_page(d, 2)
     fix3 = fixture_page(d, 3)
     fixinf = fixture_page(d, PAGE_INF)
-    results = []
 
     computed = e2_page(d, fix2.pmax)
     bad = [
@@ -334,24 +306,9 @@ def consistency_check(d: int) -> tuple[CheckEntry, ...]:
         for p in range(fix2.pmax + 1)
         if computed.rows[q][p] != fix2.rows[q][p]
     ]
-    results.append(
-        CheckEntry(
-            "second-page-match",
-            not bad,
-            "computed page equals stored table" if not bad
-            else f"mismatch at (p, q) = {bad[0]}",
-        )
-    )
 
     expected = uconf_fixture(d).graded_dims(2 * d)
     sums = fixinf.antidiagonal_sums(2 * d)
-    results.append(
-        CheckEntry(
-            "graded-dimension-match",
-            sums == expected,
-            f"anti-diagonal sums {sums} vs module dims {expected}",
-        )
-    )
 
     mono_bad = [
         (page_pair, (p, q))
@@ -360,26 +317,28 @@ def consistency_check(d: int) -> tuple[CheckEntry, ...]:
         for p in range(a.pmax + 1)
         if a.rows[q][p] < b.rows[q][p]
     ]
-    results.append(
-        CheckEntry(
-            "entrywise-monotone",
-            not mono_bad,
-            "pages never grow" if not mono_bad
-            else "page {} grows at (p, q) = {}".format(*mono_bad[0]),
-        )
-    )
 
-    detail = "all rank drops pair up with differentials"
-    ok = True
+    attribution = None
     try:
         ok23, cell23 = attribute_rank_drops(fix2, fix3, (2,))
         okinf, cellinf = attribute_rank_drops(fix3, fixinf, tuple(range(3, 2 * d + 1)))
-        ok = ok23 and okinf
         if not ok23:
-            detail = f"pages 2->3: unattributable drop at (p, q) = {cell23}"
+            attribution = f"pages 2->3: unattributable drop at (p, q) = {cell23}"
         elif not okinf:
-            detail = f"pages 3->inf: unattributable drop at (p, q) = {cellinf}"
+            attribution = f"pages 3->inf: unattributable drop at (p, q) = {cellinf}"
     except ValueError as exc:
-        ok, detail = False, str(exc)
-    results.append(CheckEntry("rank-drop-attribution", ok, detail))
-    return tuple(results)
+        attribution = str(exc)
+
+    failures = (  # each sub-check's detail if it fails, else None
+        ("second-page-match", f"mismatch at (p, q) = {bad[0]}" if bad else None),
+        ("graded-dimension-match",
+         f"anti-diagonal sums {sums} vs module dims {expected}"
+         if sums != expected else None),
+        ("entrywise-monotone",
+         "page {} grows at (p, q) = {}".format(*mono_bad[0]) if mono_bad else None),
+        ("rank-drop-attribution", attribution),
+    )
+    for name, failure in failures:
+        if failure is not None:
+            return False, f"{name}: {failure}"
+    return True, "; ".join(f"{name}: ok" for name, _ in failures)

@@ -18,7 +18,7 @@ from functools import cache
 from typing import Sequence
 
 from . import __version__
-from .borel import e2_page, fixture_page
+from .borel import PAGE_INF, e2_page, fixture_page
 # decompose and conf_module are not called here; bench/selftest.py reaches
 # them through this module
 from .decomp import closed_form_report, conf_table, decompose, reduced  # noqa: F401
@@ -27,12 +27,12 @@ from .torus import Decomposition, binom
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-# check --dmax 14: 162 s, 250 MB peak RSS. check --dmax 15 --force: 573 s,
-# 705 MB; conf_table(15): 206 s, 673 MB. Raising the cap to 15 waits for
-# check --dmax 14 --force to be compared byte for byte with a dense-row build.
-# The same cap, with no override, bounds --d of table, poincare, ss --page 2
-# and compute below degree 2d (from 2d on the module is zero and free).
-DMAX_CAP = 14
+# check --dmax 15: 284 s, 703 MB peak RSS; table --d 15: 229 s, 673 MB (2
+# cores, 8 GB). check --dmax 14's stdout is byte-identical to that of the
+# dense-row build before sparse relation rows. The same cap, with no
+# override, bounds --d of table, poincare, ss --page 2 and compute below
+# degree 2d (from 2d on the module is zero and free).
+DMAX_CAP = 15
 # ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
 # is far above the default 2d + 2 for every d up to DMAX_CAP.
 PMAX_CAP = 1000
@@ -233,7 +233,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
         return _refuse(str(exc))
     payload = {
         "d": page.d,
-        "page": page.page_label if page.page is None else page.page,
+        "page": PAGE_INF if page.page is None else page.page,
         "pmax": page.pmax,
         "provenance": page.provenance,
         "source_figure": page.source_figure,

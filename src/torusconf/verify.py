@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .borel import CheckEntry, consistency_check, sw_height
+from .borel import consistency_check, sw_height
 from .decomp import conf_closed_form, decompose, published_closed_form, reduced_table
 from .gf2 import from_indices, submasks
 from .quotient import conf_module, fixed_element_x, kernel_generators, phi_star_build
@@ -36,6 +36,15 @@ _SAMPLE_SEED = 95077
 # Product-law pairs sampled for the phi-star check at d = 5 (d <= 4 is
 # exhaustive).
 _SAMPLE_PAIRS = 10_000
+
+
+@dataclass(frozen=True)
+class CheckEntry:
+    """One named verification outcome with a human-readable detail."""
+
+    name: str
+    passed: bool
+    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -120,48 +129,39 @@ def _sweep(d: int) -> tuple[tuple, ...]:
     return tuple(zip(*(_degree(d, i) for i in range(2 * d + 2))))
 
 
-def _check_oracle(name: str, decs, closed_form: Callable) -> CheckEntry:
+def _check_oracle(decs, closed_form: Callable) -> tuple[bool, str]:
     for i, dec in enumerate(decs):
         if _read(dec) != closed_form(i):
-            return CheckEntry(name, False, f"mismatch in degree {i}")
-    return CheckEntry(name, True, f"degrees 0..{len(decs) - 1} match the closed form")
+            return False, f"mismatch in degree {i}"
+    return True, f"degrees 0..{len(decs) - 1} match the closed form"
 
 
-def _check_poincare(d: int, decs) -> CheckEntry:
+def _check_poincare(d: int, decs) -> tuple[bool, str]:
     dims = tuple(_read(dec).dim for dec in decs)
     product = poincare_product(d)
     ok = dims == product
-    return CheckEntry(
-        f"poincare-identity d={d}", ok,
-        f"graded dims {dims}" + ("" if ok else f" != product {product}"),
-    )
+    return ok, f"graded dims {dims}" + ("" if ok else f" != product {product}")
 
 
-def _check_kernel_span(d: int, kernels) -> CheckEntry:
+def _check_kernel_span(d: int, kernels) -> tuple[bool, str]:
     for i in range(d, 2 * d):
         count, span_dim = kernels[i]
         expected = binom(d, i - d)
         if count != expected or span_dim != expected:
-            return CheckEntry(
-                f"kernel-span d={d}", False,
-                f"degree {i}: span dim {span_dim}, expected {expected}",
-            )
+            return False, f"degree {i}: span dim {span_dim}, expected {expected}"
     if kernel_generators(d, 2 * d).span_dim != total_dim(d, 2 * d):
-        return CheckEntry(f"kernel-span d={d}", False, "top degree is not exhausted")
-    return CheckEntry(
-        f"kernel-span d={d}", True, "generators independent, counts as expected"
-    )
+        return False, "top degree is not exhausted"
+    return True, "generators independent, counts as expected"
 
 
-def _check_fixed_element(d: int, outcomes) -> CheckEntry:
+def _check_fixed_element(d: int, outcomes) -> tuple[bool, str]:
     checked = 0
     for i in range(d, 2 * d):
         outcome = _read(outcomes[i])
         if isinstance(outcome, str):
-            return CheckEntry(f"fixed-element d={d}", False, outcome)
+            return False, outcome
         checked += outcome
-    detail = f"{checked} cosets nonzero and swap-fixed"
-    return CheckEntry(f"fixed-element d={d}", True, detail)
+    return True, f"{checked} cosets nonzero and swap-fixed"
 
 
 def _product_mask(ranks: tuple[int, ...], terms_a, terms_b) -> int:
@@ -219,7 +219,7 @@ def _disjoint_pairs(d: int):
                     yield a_deg, a_idx, b_deg, b_idx
 
 
-def _check_phi_star(d: int) -> CheckEntry:
+def _check_phi_star(d: int) -> tuple[bool, str]:
     columns = phi_star_build(d)
     keys = [monomials(2 * d, i) for i in range(2 * d + 1)]
     ranks = positions(2 * d)
@@ -234,9 +234,7 @@ def _check_phi_star(d: int) -> CheckEntry:
             for u in terms:
                 image ^= masks[i][ranks[u]]
             if image != 1 << j:  # phi*(phi*(e_j)) = e_j
-                return CheckEntry(
-                    f"phi-star-laws d={d}", False, f"not involutive in degree {i}"
-                )
+                return False, f"not involutive in degree {i}"
     # Only pairs with ab != 0 are compared. For d <= 4 every pair is counted
     # and the others follow from compared pairs: a meeting pair is a = x a',
     # b = x b' with x a shared degree-1 class, and the law on (x, a') and
@@ -257,35 +255,17 @@ def _check_phi_star(d: int) -> CheckEntry:
             lhs = masks[a_deg + b_deg][ranks[a | b]]
             rhs = _product_mask(ranks, columns[a_deg][a_idx], columns[b_deg][b_idx])
             if lhs != rhs:
-                return CheckEntry(
-                    f"phi-star-laws d={d}", False,
-                    f"product law fails in degrees ({a_deg}, {b_deg})",
-                )
-    return CheckEntry(
-        f"phi-star-laws d={d}", True, f"involutive; product law {how} {count} pairs"
-    )
+                return False, f"product law fails in degrees ({a_deg}, {b_deg})"
+    return True, f"involutive; product law {how} {count} pairs"
 
 
-def _check_fixture_consistency(d: int) -> CheckEntry:
-    results = consistency_check(d)
-    passed = all(r.passed for r in results)
-    if passed:
-        detail = "; ".join(f"{r.name}: ok" for r in results)
-    else:
-        first = next(r for r in results if not r.passed)
-        detail = f"{first.name}: {first.detail}"
-    return CheckEntry(f"fixture-consistency d={d}", passed, detail)
-
-
-def _check_sw_height(dmax: int) -> CheckEntry:
-    for d in range(2, max(dmax, 3) + 1):
-        res = sw_height(d)
-        if res.height != d:
-            return CheckEntry("sw-height", False, f"height {res.height} at d={d}")
-    return CheckEntry(
-        "sw-height", True,
-        f"height equals d for d=2..{max(dmax, 3)}; d=2,3 read off stored pages",
-    )
+def _check_sw_height(dmax: int) -> tuple[bool, str]:
+    for d in (2, 3):
+        height = sw_height(d)
+        if height != d:
+            return False, f"height {height} at d={d}"
+    # d >= 4 rests on sw_height's bounds argument until it is computed
+    return True, f"height equals d for d=2..{max(dmax, 3)}; d=2,3 read off stored pages"
 
 
 def _notes(dmax: int) -> tuple[str, ...]:
@@ -325,10 +305,10 @@ def run_checks(
         raise ValueError("dmax must be at least 1")
     entries: list[CheckEntry] = []
 
-    def run(name: str, check: Callable[..., CheckEntry], *args) -> None:
+    def run(name: str, check: Callable[..., tuple[bool, str]], *args) -> None:
         start = time.perf_counter()
         try:
-            entry = check(*args)
+            entry = CheckEntry(name, *check(*args))
         except Exception as exc:  # a crash is a failed check, not a crashed suite
             entry = CheckEntry(name, False, f"raised {exc!r}")
         entries.append(entry)
@@ -343,17 +323,15 @@ def run_checks(
             growth_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb
             on_sweep(d, time.perf_counter() - start, growth_kb)
         conf = conf[:-1]  # degrees 0..2d
-        name = f"torus-oracle d={d}"
-        run(name, _check_oracle, name, torus, partial(torus_closed_form, d))
-        name = f"conf-oracle d={d}"
-        run(name, _check_oracle, name, conf, partial(conf_closed_form, d))
+        run(f"torus-oracle d={d}", _check_oracle, torus, partial(torus_closed_form, d))
+        run(f"conf-oracle d={d}", _check_oracle, conf, partial(conf_closed_form, d))
         run(f"poincare-identity d={d}", _check_poincare, d, conf)
         run(f"kernel-span d={d}", _check_kernel_span, d, kernels)
         run(f"fixed-element d={d}", _check_fixed_element, d, fixed)
         if d <= 5:
             run(f"phi-star-laws d={d}", _check_phi_star, d)
     for d in range(2, min(dmax, 3) + 1):
-        run(f"fixture-consistency d={d}", _check_fixture_consistency, d)
+        run(f"fixture-consistency d={d}", consistency_check, d)
     if dmax >= 2:
         run("sw-height", _check_sw_height, dmax)
 

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from torusconf import borel
+from torusconf import borel, verify
 from torusconf.borel import (
     PAGE_INF,
     attribute_rank_drops,
@@ -155,19 +155,15 @@ def test_uconf_unsupported():
 
 def test_sw_height_fixture_path():
     for d in (2, 3):
-        res = sw_height(d)
-        assert res.height == d
-        assert res.evidence == "fixture-verified"
+        assert sw_height(d) == d
         row0 = fixture_page(d, PAGE_INF).rows[0]
         assert row0[:d + 1] == (1,) * (d + 1)
         assert row0[d + 1] == 0
 
 
-def test_sw_height_theorem_path():
-    res = sw_height(5)
-    assert res.height == 5
-    assert res.evidence == "theorem"
-    assert len(res.notes) == 2
+def test_sw_height_reads_only_stored_limit_pages():
+    with pytest.raises(ValueError):
+        sw_height(4)
 
 
 def test_sw_height_rejects_d1():
@@ -175,18 +171,50 @@ def test_sw_height_rejects_d1():
         sw_height(1)
 
 
+def _patch_page(monkeypatch, d, page, changed):
+    """Let borel.fixture_page return `changed` for (d, page), else the store."""
+    original = borel.fixture_page
+
+    def patched(d_, page_):
+        return changed if (d_, page_) == (d, page) else original(d_, page_)
+
+    monkeypatch.setattr(borel, "fixture_page", patched)
+
+
+def test_sw_height_is_read_off_row_zero(monkeypatch):
+    # alpha^2 dies on this d = 3 limit page, so the height is 1 and the
+    # check names it
+    limit = fixture_page(3, PAGE_INF)
+    _patch_page(monkeypatch, 3, PAGE_INF, dataclasses.replace(
+        limit, rows=((1, 1, 0, 0, 0, 0, 0, 0),) + limit.rows[1:]
+    ))
+    assert sw_height(3) == 1
+    assert verify._check_sw_height(3) == (False, "height 1 at d=3")
+    # a power of alpha cannot come back after one has died
+    _patch_page(monkeypatch, 3, PAGE_INF, dataclasses.replace(
+        limit, rows=((1, 1, 0, 1, 0, 0, 0, 0),) + limit.rows[1:]
+    ))
+    with pytest.raises(ValueError):
+        sw_height(3)
+
+
 # --- consistency ----------------------------------------------------------------------
 
 def test_consistency_passes():
     for d in (2, 3):
-        results = consistency_check(d)
-        assert all(r.passed for r in results)
-        assert [r.name for r in results] == [
-            "second-page-match",
-            "graded-dimension-match",
-            "entrywise-monotone",
-            "rank-drop-attribution",
-        ]
+        assert consistency_check(d) == (
+            True,
+            "second-page-match: ok; graded-dimension-match: ok; "
+            "entrywise-monotone: ok; rank-drop-attribution: ok",
+        )
+
+
+def test_consistency_names_a_growing_page(monkeypatch):
+    # page 3 gains a class at (p, q) = (1, 1) that page 2 lacks
+    _patch_page(monkeypatch, 2, 3, _set_cell(fixture_page(2, 3), 1, 1, 1))
+    assert consistency_check(2) == (
+        False, "entrywise-monotone: page 2->3 grows at (p, q) = (1, 1)"
+    )
 
 
 def test_consistency_unsupported():

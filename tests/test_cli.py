@@ -202,7 +202,7 @@ def test_check_caps_dmax(capsys, monkeypatch):
     # a sweep past the cap has not been measured to fit in memory, so never
     # let one run here
     monkeypatch.setattr(cli, "run_checks", refuse)
-    for dmax in ("15", "16"):
+    for dmax in (str(cli.DMAX_CAP + 1), str(cli.DMAX_CAP + 2)):
         code, _, err = run_cli(capsys, "check", "--dmax", dmax)
         assert code == 2
         assert "--force" in err
@@ -297,13 +297,14 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch
 
 
 def test_out_probe_keeps_an_existing_file_and_leaves_no_new_one(tmp_path, capsys):
-    # table --d 15 is refused after the probe, by the cap: the existing file
-    # is not truncated and a missing one is not left behind
+    # a d past the cap is refused after the probe: the existing file is not
+    # truncated and a missing one is not left behind
+    d = str(cli.DMAX_CAP + 1)
     existing = tmp_path / "existing.json"
     existing.write_text("kept\n")
-    assert run_cli(capsys, "table", "--d", "15", "--out", str(existing))[0] == 2
+    assert run_cli(capsys, "table", "--d", d, "--out", str(existing))[0] == 2
     assert existing.read_text() == "kept\n"
-    assert run_cli(capsys, "table", "--d", "15", "--out", str(tmp_path / "new"))[0] == 2
+    assert run_cli(capsys, "table", "--d", d, "--out", str(tmp_path / "new"))[0] == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.json"]
     assert run_cli(capsys, "table", "--d", "2", "--out", str(existing))[0] == 0
     assert json.loads(existing.read_text())["payload"]["d"] == 2
@@ -325,7 +326,7 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     with pytest.raises(SystemExit) as err:
         main(["table"])  # --d is required: an argparse usage error
     assert err.value.code == 2
-    assert run_cli(capsys, "table", "--d", "15")[0] == 2
+    assert run_cli(capsys, "table", "--d", str(cli.DMAX_CAP + 1))[0] == 2
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0

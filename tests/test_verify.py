@@ -212,9 +212,9 @@ def test_product_law_fails_on_an_involutive_non_multiplicative_phi_star(monkeypa
 
     monkeypatch.setattr(verify, "phi_star_build", mixed)
     for d, degrees in ((2, "(1, 1)"), (3, "(1, 1)"), (5, "(2, 3)")):  # d = 5 samples
-        entry = verify._check_phi_star(d)
-        assert not entry.passed, d
-        assert entry.detail == f"product law fails in degrees {degrees}", d
+        assert verify._check_phi_star(d) == (
+            False, f"product law fails in degrees {degrees}"
+        ), d
 
 
 def test_involution_law_fails_on_a_non_involutive_phi_star(monkeypatch):
@@ -230,9 +230,7 @@ def test_involution_law_fails_on_a_non_involutive_phi_star(monkeypatch):
 
     monkeypatch.setattr(verify, "phi_star_build", skewed)
     for d in (2, 3, 5):
-        entry = verify._check_phi_star(d)
-        assert not entry.passed, d
-        assert entry.detail == "not involutive in degree 3", d
+        assert verify._check_phi_star(d) == (False, "not involutive in degree 3"), d
 
 
 def column_masks(d):
@@ -294,8 +292,9 @@ def test_product_law_compares_the_disjoint_pairs_in_order():
         expected = [pair for pair in pairs if not keys_meet(d, pair)]
         assert list(verify._disjoint_pairs(d)) == expected, d
         assert len(expected) == 3 ** (2 * d)
-        entry = verify._check_phi_star(d)
-        assert entry.detail == f"involutive; product law exhaustive over {count} pairs"
+        assert verify._check_phi_star(d) == (
+            True, f"involutive; product law exhaustive over {count} pairs"
+        )
 
 
 def test_sampled_pairs_follow_the_randrange_stream():
