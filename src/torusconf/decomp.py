@@ -29,6 +29,11 @@ their swaps and their images under h are sparse, the positions of their
 terms, so the stability check and the rank cost the number of terms, not
 n: no n x n matrix and no length-n row is formed.
 
+``_conf_decomposition`` caches the brute-force decomposition of each (d, i)
+once per process (three ints, never a module); its only readers are
+``conf_table`` and ``closed_form_report``. ``check``'s sweep bypasses it:
+``verify._degree`` decomposes its own modules, never a cached value.
+
 The closed forms come in two flavours: the corrected count, which the brute
 force must match exactly, and the count as published, which in the odd case
 between degrees d and 2d carries a spurious -C(d, k)/2 and can fail to be an
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .gf2 import SubspaceNotPreservedError, echelon
 from .quotient import conf_module
@@ -68,6 +74,12 @@ def decompose(m: Sigma2Module) -> Decomposition:
     lost = len(images) - len(echelon(images))
     regular = (len(perm) - fixed) // 2 - lost
     return Decomposition(m.dim, m.dim - 2 * regular, regular)
+
+
+@cache
+def _conf_decomposition(d: int, i: int) -> Decomposition:
+    """decompose(conf_module(d, i)), both read as module globals on a miss."""
+    return decompose(conf_module(d, i))
 
 
 def conf_closed_form(d: int, i: int) -> Decomposition:
@@ -129,7 +141,7 @@ class ClosedFormReport:
 
 def closed_form_report(d: int, i: int) -> ClosedFormReport:
     """Evaluate brute force, the corrected count and the published count."""
-    brute = decompose(conf_module(d, i))
+    brute = _conf_decomposition(d, i)
     corrected = conf_closed_form(d, i)
     pt, pr = published_closed_form(d, i)
     return ClosedFormReport(
@@ -139,11 +151,11 @@ def closed_form_report(d: int, i: int) -> ClosedFormReport:
 
 
 def conf_table(d: int) -> tuple[Decomposition, ...]:
-    """Decompositions of conf_module(d, i) for i = 0 .. 2d, each module
-    built and dropped before the next one."""
+    """Decompositions of conf_module(d, i) for i = 0 .. 2d; each module a
+    cache miss builds is dropped before the next one."""
     # from a list: tuple() of a generator over-allocates, and CPython keeps
     # the shrunk block on its tuple free list until a full collection
-    return tuple([decompose(conf_module(d, i)) for i in range(2 * d + 1)])
+    return tuple([_conf_decomposition(d, i) for i in range(2 * d + 1)])
 
 
 def reduced(table: tuple[Decomposition, ...]) -> tuple[Decomposition, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from torusconf import cli, quotient, torus
+from torusconf import cli, decomp, quotient, torus
 from torusconf.cli import main, module_label
 
 
@@ -354,6 +354,30 @@ def test_documents_match_recorded_digests():
             code = main(command.split())
         assert code == 0, command
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
+
+
+def test_documents_match_recorded_digests_cold_and_warm(monkeypatch):
+    # the first pass fills the decomposition cache, the second reads it
+    built = []
+    original = decomp.conf_module
+
+    def counted(d, i):
+        built.append((d, i))
+        return original(d, i)
+
+    monkeypatch.setattr(decomp, "conf_module", counted)
+    digests = json.loads(DIGESTS.read_text())
+    builds = []  # modules built by the end of each pass
+    for _ in range(2):
+        for command, digest in sorted(digests.items()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(command.split())
+            assert code == 0, command
+            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
+        builds.append(len(built))
+    assert builds[0] == len(set(built)) > 0
+    assert builds[1] == builds[0]
 
 
 def test_check_output_is_byte_identical_across_runs():

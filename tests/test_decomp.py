@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from torusconf import decomp
 from torusconf.decomp import (
     closed_form_report,
     conf_closed_form,
@@ -209,6 +210,14 @@ def test_report_below_d():
 
 
 # --- tables -----------------------------------------------------------------------
+
+def test_cached_decomposition_matches_uncached_and_closed_form():
+    for d in range(7):
+        for i in range(2 * d + 2):
+            cached = decomp._conf_decomposition(d, i)
+            assert cached == decompose(conf_module(d, i)) == conf_closed_form(d, i)
+            assert decomp._conf_decomposition(d, i) is cached
+
 
 def test_reduced_table_d1():
     # degree 1 carries a single trivial summand: the space is one-dimensional

@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
+
+from torusconf import decomp
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "regenerate_tables.py"
@@ -26,3 +29,24 @@ def test_written_files_match_recorded_digests(tmp_path, monkeypatch, capsys):
     for path in written:
         command = commands[str(path)]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digests[command], command
+
+
+def test_second_run_builds_no_module(tmp_path, monkeypatch, capsys):
+    built = Counter()
+    original = decomp.conf_module
+
+    def counted(d, i):
+        built[d, i] += 1
+        return original(d, i)
+
+    monkeypatch.setattr(decomp, "conf_module", counted)
+    formats = ["json", "csv", "markdown", "latex"]
+    regenerate_tables.run(tmp_path / "cold", formats)
+    cold = Counter(built)
+    assert cold == Counter({(d, i): 1 for d in (1, 2, 3) for i in range(2 * d + 1)})
+    regenerate_tables.run(tmp_path / "warm", formats)
+    assert built == cold
+    names = sorted(path.name for path in (tmp_path / "cold").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "warm").iterdir())
+    for name in names:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()

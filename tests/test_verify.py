@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
-from torusconf import torus, verify
+from torusconf import decomp, torus, verify
 from torusconf.gf2 import from_indices, quotient_structure
 from torusconf.quotient import conf_module, phi_star_build
 from torusconf.torus import (
+    Decomposition,
     KernelPresentation,
     Sigma2Module,
     cup_vector,
@@ -96,6 +97,32 @@ def test_run_checks_reads_each_swap_once(monkeypatch):
     monkeypatch.setattr(verify, "_degree", degree)
     assert run_checks(4).passed
     assert [passes[4, i] for i in range(8)] == [1] * 8
+
+
+def test_check_never_reads_the_decomposition_cache(monkeypatch):
+    # the pages and notes read the cache; the oracles must not
+    read = Counter()
+
+    def wrong(d, i):
+        read[d, i] += 1
+        c = decomp.conf_closed_form(d, i)
+        return Decomposition(c.dim + 2, c.trivial, c.regular + 1)
+
+    built = Counter()
+    original = verify.conf_module
+
+    def counted(d, i):
+        built[d, i] += 1
+        return original(d, i)
+
+    monkeypatch.setattr(decomp, "_conf_decomposition", wrong)
+    monkeypatch.setattr(verify, "conf_module", counted)
+    suite = run_checks(3)
+    assert read
+    families = ("torus-oracle", "conf-oracle", "poincare-identity")
+    oracles = [e for e in suite.entries if e.name.split(" ")[0] in families]
+    assert len(oracles) == 9 and all(e.passed for e in oracles), oracles
+    assert built == Counter({(d, i): 1 for d in (1, 2, 3) for i in range(2 * d + 2)})
 
 
 def patch_conf_module(monkeypatch, at, edit):
