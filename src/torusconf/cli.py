@@ -27,11 +27,11 @@ from .torus import Decomposition, binom
 from .verify import poincare_product, run_checks
 
 FORMATS = ("json", "csv", "markdown", "latex")
-# check --dmax 15: 284 s, 703 MB peak RSS; table --d 15: 229 s, 673 MB (2
-# cores, 8 GB). check --dmax 14's stdout is byte-identical to that of the
-# dense-row build before sparse relation rows. The same cap, with no
-# override, bounds --d of table, poincare, ss --page 2 and compute below
-# degree 2d (from 2d on the module is zero and free).
+# check --dmax 15: 284 s, 703 MB peak RSS (2 cores, 8 GB). check --dmax
+# 14's stdout is byte-identical to that of the dense-row build before sparse
+# relation rows. The same cap, with no override, bounds --d of table,
+# poincare, ss --page 2 and compute below degree 2d (from 2d on the module
+# is zero and free); table --d 15 counts relation rows in 6.9 s, 35 MB.
 DMAX_CAP = 15
 # ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
 # is far above the default 2d + 2 for every d up to DMAX_CAP.

@@ -29,10 +29,28 @@ their swaps and their images under h are sparse, the positions of their
 terms, so the stability check and the rank cost the number of terms, not
 n: no n x n matrix and no length-n row is formed.
 
-``_conf_decomposition`` caches the brute-force decomposition of each (d, i)
-once per process (three ints, never a module); its only readers are
-``conf_table`` and ``closed_form_report``. ``check``'s sweep bypasses it:
-``verify._degree`` decomposes its own modules, never a cached value.
+The configuration-space relations need none of that machinery.
+``relation_decomposition`` walks each kernel generator's terms, 3^d in all
+degrees together against the 4^d classes of the ambient swap. Per term
+(S, T) of the generator of m it asserts that S and T meet exactly in m and
+cover 1..d. The term is then a degree-i class, and m is the only generator
+it can belong to, so the rows of a degree are disjoint. No term is
+swap-fixed either: S = T would make m = 1..d, of degree 2d > i. Per row it
+asserts that the swapped positions off[T] + pos(S) are the row's own
+positions. Disjoint, swap-stable rows with no fixed term are independent
+and h maps each of them to 0, so lost = #rows = r. The torus square's
+closed form gives n = C(2d, i) classes, f = C(d, i/2) of them swap-fixed in
+even degree i (none in odd), so dim = n - r and regular = (n - f)/2 - r.
+No swap and no echelon is built.
+
+Two caches hold one decomposition per (d, i) per process (three ints, never
+a module). ``_table_decomposition`` holds the relation-local count, read by
+``conf_table`` and so by ``table``, ``poincare``, ``ss --page 2`` and
+``reduced_table``. ``_conf_decomposition`` holds ``decompose(conf_module)``,
+the general oracle; its only reader is ``closed_form_report``, so
+``compute`` holds brute force to the closed form by ambient elimination.
+``check``'s sweep reads neither: ``verify._degree`` decomposes its own
+modules, never a cached value.
 
 The closed forms come in two flavours: the corrected count, which the brute
 force must match exactly, and the count as published, which in the odd case
@@ -47,8 +65,16 @@ from fractions import Fraction
 from functools import cache
 
 from .gf2 import SubspaceNotPreservedError, echelon
-from .quotient import conf_module
-from .torus import Decomposition, Sigma2Module, binom, torus_closed_form
+from .quotient import _relation_terms, conf_module
+from .torus import (
+    Decomposition,
+    Sigma2Module,
+    binom,
+    monomials,
+    offsets,
+    positions,
+    torus_closed_form,
+)
 
 
 def decompose(m: Sigma2Module) -> Decomposition:
@@ -80,6 +106,42 @@ def decompose(m: Sigma2Module) -> Decomposition:
 def _conf_decomposition(d: int, i: int) -> Decomposition:
     """decompose(conf_module(d, i)), both read as module globals on a miss."""
     return decompose(conf_module(d, i))
+
+
+def relation_decomposition(d: int, i: int) -> Decomposition:
+    """decompose(conf_module(d, i)) counted from the kernel generators'
+    terms, without the ambient swap (see the module docstring).
+
+    Raises ValueError, naming (d, i, m), if a term of the generator of m
+    breaks an asserted property, and for negative d as conf_module does.
+    """
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    if not 0 <= i < 2 * d:
+        return Decomposition(0, 0, 0)
+    full = (1 << d) - 1
+    rows = 0
+    lefts = monomials(d, i - d)  # empty below degree d
+    off = offsets(d, i) if lefts else ()
+    pos = positions(d) if lefts else ()
+    for m in lefts:
+        row, swapped = set(), set()
+        for s, t in _relation_terms(d, m):
+            if s & t != m or s | t != full:
+                raise ValueError(f"term ({s}, {t}) breaks the relation row at {(d, i, m)}")
+            row.add(off[s] + pos[t])
+            swapped.add(off[t] + pos[s])
+        if row != swapped:
+            raise ValueError(f"relation row not swap-stable at {(d, i, m)}")
+        rows += 1
+    ambient = torus_closed_form(d, i)  # C(2d, i) classes, f of them fixed
+    return Decomposition(ambient.dim - rows, ambient.trivial + rows, ambient.regular - rows)
+
+
+@cache
+def _table_decomposition(d: int, i: int) -> Decomposition:
+    """relation_decomposition(d, i), read as a module global on a miss."""
+    return relation_decomposition(d, i)
 
 
 def conf_closed_form(d: int, i: int) -> Decomposition:
@@ -151,11 +213,11 @@ def closed_form_report(d: int, i: int) -> ClosedFormReport:
 
 
 def conf_table(d: int) -> tuple[Decomposition, ...]:
-    """Decompositions of conf_module(d, i) for i = 0 .. 2d; each module a
-    cache miss builds is dropped before the next one."""
+    """Decompositions of conf_module(d, i) for i = 0 .. 2d, counted from
+    the relations; no module is built."""
     # from a list: tuple() of a generator over-allocates, and CPython keeps
     # the shrunk block on its tuple free list until a full collection
-    return tuple([_conf_decomposition(d, i) for i in range(2 * d + 1)])
+    return tuple([_table_decomposition(d, i) for i in range(2 * d + 1)])
 
 
 def reduced(table: tuple[Decomposition, ...]) -> tuple[Decomposition, ...]:

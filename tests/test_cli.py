@@ -357,17 +357,23 @@ def test_documents_match_recorded_digests():
 
 
 def test_documents_match_recorded_digests_cold_and_warm(monkeypatch):
-    # the first pass fills the decomposition cache, the second reads it
-    built = []
-    original = decomp.conf_module
+    # the first pass fills both decomposition caches, the second reads them:
+    # compute builds its modules, the table documents count relation rows
+    built, counted = [], []
+    build, count = decomp.conf_module, decomp.relation_decomposition
 
-    def counted(d, i):
+    def counted_build(d, i):
         built.append((d, i))
-        return original(d, i)
+        return build(d, i)
 
-    monkeypatch.setattr(decomp, "conf_module", counted)
+    def counted_count(d, i):
+        counted.append((d, i))
+        return count(d, i)
+
+    monkeypatch.setattr(decomp, "conf_module", counted_build)
+    monkeypatch.setattr(decomp, "relation_decomposition", counted_count)
     digests = json.loads(DIGESTS.read_text())
-    builds = []  # modules built by the end of each pass
+    calls = []  # (modules built, relation counts) by the end of each pass
     for _ in range(2):
         for command, digest in sorted(digests.items()):
             out = io.StringIO()
@@ -375,9 +381,10 @@ def test_documents_match_recorded_digests_cold_and_warm(monkeypatch):
                 code = main(command.split())
             assert code == 0, command
             assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
-        builds.append(len(built))
-    assert builds[0] == len(set(built)) > 0
-    assert builds[1] == builds[0]
+        calls.append((len(built), len(counted)))
+    assert calls[0] == (len(set(built)), len(set(counted)))
+    assert min(calls[0]) > 0
+    assert calls[1] == calls[0]
 
 
 def test_check_output_is_byte_identical_across_runs():

@@ -11,6 +11,7 @@ from torusconf.decomp import (
     decompose,
     published_closed_form,
     reduced_table,
+    relation_decomposition,
 )
 from torusconf.gf2 import (
     Gf2Matrix,
@@ -217,6 +218,56 @@ def test_cached_decomposition_matches_uncached_and_closed_form():
             cached = decomp._conf_decomposition(d, i)
             assert cached == decompose(conf_module(d, i)) == conf_closed_form(d, i)
             assert decomp._conf_decomposition(d, i) is cached
+            counted = decomp._table_decomposition(d, i)
+            assert counted == cached
+            assert decomp._table_decomposition(d, i) is counted
+
+
+# --- relation-local decomposition ------------------------------------------------
+
+def test_relation_decomposition_matches_ambient_elimination():
+    for d in range(9):
+        for i in range(-1, 2 * d + 2):
+            assert relation_decomposition(d, i) == decompose(conf_module(d, i)), (d, i)
+
+
+def test_relation_decomposition_matches_closed_form():
+    for d in range(12):
+        for i in range(-1, 2 * d + 2):
+            assert relation_decomposition(d, i) == conf_closed_form(d, i), (d, i)
+
+
+def test_relation_decomposition_rejects_negative_d():
+    with pytest.raises(ValueError):
+        relation_decomposition(-1, 0)
+
+
+def corrupt_one_term(monkeypatch, edit):
+    """Make decomp's _relation_terms yield edit(s, t) for the second term of
+    the generator of the monomial 0b001 at d = 3."""
+    original = decomp._relation_terms
+
+    def corrupted(d, m):
+        for j, (s, t) in enumerate(original(d, m)):
+            yield edit(s, t) if (d, m, j) == (3, 0b001, 1) else (s, t)
+
+    monkeypatch.setattr(decomp, "_relation_terms", corrupted)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda s, t: (s, t | 0b010),  # S and T meet in more than m
+        lambda s, t: (s & ~0b100, t & ~0b100),  # S and T miss an index
+        lambda s, t: (s | t, s | t),  # a swap-fixed term
+        lambda s, t: (t, s),  # the row's swapped term twice, this one never
+    ],
+    ids=["meet", "cover", "fixed", "unstable"],
+)
+def test_relation_decomposition_rejects_a_corrupted_term(monkeypatch, edit):
+    corrupt_one_term(monkeypatch, edit)
+    with pytest.raises(ValueError, match=r"\(3, 4, 1\)"):
+        relation_decomposition(3, 4)
 
 
 def test_reduced_table_d1():

@@ -32,20 +32,28 @@ def test_written_files_match_recorded_digests(tmp_path, monkeypatch, capsys):
 
 
 def test_second_run_builds_no_module(tmp_path, monkeypatch, capsys):
-    built = Counter()
-    original = decomp.conf_module
+    # the tables, polynomials and pages count relation rows, once per (d, i)
+    # in the first run and never in the second; neither run builds a module
+    counted, built = Counter(), Counter()
+    count, build = decomp.relation_decomposition, decomp.conf_module
 
-    def counted(d, i):
+    def counting(d, i):
+        counted[d, i] += 1
+        return count(d, i)
+
+    def building(d, i):
         built[d, i] += 1
-        return original(d, i)
+        return build(d, i)
 
-    monkeypatch.setattr(decomp, "conf_module", counted)
+    monkeypatch.setattr(decomp, "relation_decomposition", counting)
+    monkeypatch.setattr(decomp, "conf_module", building)
     formats = ["json", "csv", "markdown", "latex"]
     regenerate_tables.run(tmp_path / "cold", formats)
-    cold = Counter(built)
+    cold = Counter(counted)
     assert cold == Counter({(d, i): 1 for d in (1, 2, 3) for i in range(2 * d + 1)})
     regenerate_tables.run(tmp_path / "warm", formats)
-    assert built == cold
+    assert counted == cold
+    assert not built
     names = sorted(path.name for path in (tmp_path / "cold").iterdir())
     assert names == sorted(path.name for path in (tmp_path / "warm").iterdir())
     for name in names:

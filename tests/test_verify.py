@@ -100,7 +100,7 @@ def test_run_checks_reads_each_swap_once(monkeypatch):
 
 
 def test_check_never_reads_the_decomposition_cache(monkeypatch):
-    # the pages and notes read the cache; the oracles must not
+    # the pages and notes read the table cache; the oracles read neither
     read = Counter()
 
     def wrong(d, i):
@@ -116,6 +116,7 @@ def test_check_never_reads_the_decomposition_cache(monkeypatch):
         return original(d, i)
 
     monkeypatch.setattr(decomp, "_conf_decomposition", wrong)
+    monkeypatch.setattr(decomp, "_table_decomposition", wrong)
     monkeypatch.setattr(verify, "conf_module", counted)
     suite = run_checks(3)
     assert read
