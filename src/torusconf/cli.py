@@ -31,7 +31,8 @@ FORMATS = ("json", "csv", "markdown", "latex")
 # 14's stdout is byte-identical to that of the dense-row build before sparse
 # relation rows. The same cap, with no override, bounds --d of table,
 # poincare, ss --page 2 and compute below degree 2d (from 2d on the module
-# is zero and free); table --d 15 counts relation rows in 6.9 s, 35 MB.
+# is zero and free); these count relation rows and build no module: table
+# --d 15 takes 6.9 s, 35 MB, and compute --d 15 --i 15 0.2 s, 27 MB.
 DMAX_CAP = 15
 # ss rows are pmax + 1 columns wide, so an explicit --pmax is capped; the cap
 # is far above the default 2d + 2 for every d up to DMAX_CAP.
@@ -143,15 +144,18 @@ def _probe_out(path: str) -> str | None:
     """Why ``path`` cannot be opened for writing, or None when it can.
 
     Opened for appending, so an existing file keeps its contents until the
-    document is written; a file the probe created is removed again."""
-    existed = os.path.lexists(path)
+    document is written; a file the probe created is removed again. Opening
+    a symlink opens its target, so the target is what the probe may create:
+    a dangling link is left as it was, with no target."""
+    target = os.path.realpath(path)
+    existed = os.path.exists(target)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         return exc.strerror
     if not existed:
-        os.remove(path)
+        os.remove(target)
     return None
 
 

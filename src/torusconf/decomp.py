@@ -43,14 +43,13 @@ closed form gives n = C(2d, i) classes, f = C(d, i/2) of them swap-fixed in
 even degree i (none in odd), so dim = n - r and regular = (n - f)/2 - r.
 No swap and no echelon is built.
 
-Two caches hold one decomposition per (d, i) per process (three ints, never
-a module). ``_table_decomposition`` holds the relation-local count, read by
-``conf_table`` and so by ``table``, ``poincare``, ``ss --page 2`` and
-``reduced_table``. ``_conf_decomposition`` holds ``decompose(conf_module)``,
-the general oracle; its only reader is ``closed_form_report``, so
-``compute`` holds brute force to the closed form by ambient elimination.
-``check``'s sweep reads neither: ``verify._degree`` decomposes its own
-modules, never a cached value.
+One cache holds one decomposition per (d, i) per process (three ints, never
+a module): ``_table_decomposition``, the relation-local count. ``conf_table``
+reads it, and so do ``table``, ``poincare``, ``ss --page 2`` and
+``reduced_table``; ``closed_form_report`` reads it for ``compute``.
+``decompose(conf_module)``, the general ambient elimination, is the oracle
+the count is held to: ``check``'s sweep (``verify._degree``) decomposes its
+own modules and never reads the cache.
 
 The closed forms come in two flavours: the corrected count, which the brute
 force must match exactly, and the count as published, which in the odd case
@@ -65,7 +64,7 @@ from fractions import Fraction
 from functools import cache
 
 from .gf2 import SubspaceNotPreservedError, echelon
-from .quotient import _relation_terms, conf_module
+from .quotient import _relation_terms
 from .torus import (
     Decomposition,
     Sigma2Module,
@@ -100,12 +99,6 @@ def decompose(m: Sigma2Module) -> Decomposition:
     lost = len(images) - len(echelon(images))
     regular = (len(perm) - fixed) // 2 - lost
     return Decomposition(m.dim, m.dim - 2 * regular, regular)
-
-
-@cache
-def _conf_decomposition(d: int, i: int) -> Decomposition:
-    """decompose(conf_module(d, i)), both read as module globals on a miss."""
-    return decompose(conf_module(d, i))
 
 
 def relation_decomposition(d: int, i: int) -> Decomposition:
@@ -202,8 +195,10 @@ class ClosedFormReport:
 
 
 def closed_form_report(d: int, i: int) -> ClosedFormReport:
-    """Evaluate brute force, the corrected count and the published count."""
-    brute = _conf_decomposition(d, i)
+    """Evaluate the corrected and the published count next to the count
+    from the relation rows, which builds no module; ``check`` holds that
+    count to the ambient elimination."""
+    brute = _table_decomposition(d, i)
     corrected = conf_closed_form(d, i)
     pt, pr = published_closed_form(d, i)
     return ClosedFormReport(

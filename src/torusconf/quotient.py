@@ -17,7 +17,6 @@ from .gf2 import quotient_structure, submasks
 from .torus import (
     KernelPresentation,
     Sigma2Module,
-    free_module,
     kunneth_index,
     monomials,
     offsets,
@@ -91,13 +90,11 @@ def kernel_generators(d: int, i: int) -> KernelPresentation:
 def conf_module(d: int, i: int) -> Sigma2Module:
     """H^i of the two-point configuration space of T^d with its swap action:
     the tensor basis modulo the kernel generators, of which there are none
-    below degree d. From degree 2d on everything dies, and the empty module
-    is returned without building any table of 2^d entries.
+    below degree d. In degree 2d the one class is killed by its own relation;
+    outside 0 <= i <= 2d both are empty and no table of 2^d entries is built.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    if not 0 <= i < 2 * d:
-        return free_module(())
     kp = kernel_generators(d, i)  # row-reduced before the swap is built
     return Sigma2Module(swap_permutation(d, i), kp)
 

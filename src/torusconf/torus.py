@@ -263,14 +263,11 @@ class Sigma2Module:
         return involution_fixed_points(self.swap)
 
 
-def free_module(swap: Sequence[int]) -> Sigma2Module:
-    """The permutation module of ``swap``: no relations."""
-    return Sigma2Module(swap, KernelPresentation((), quotient_structure(len(swap), ())))
-
-
 def torus_module(d: int, i: int) -> Sigma2Module:
-    """H^i of the square of T^d with the swap involution, on the tensor basis."""
-    return free_module(swap_permutation(d, i))
+    """H^i of the square of T^d with the swap involution, on the tensor basis:
+    the permutation module of the swap, with no relations."""
+    swap = swap_permutation(d, i)
+    return Sigma2Module(swap, KernelPresentation((), quotient_structure(len(swap), ())))
 
 
 def torus_closed_form(d: int, i: int) -> Decomposition:

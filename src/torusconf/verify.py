@@ -20,7 +20,7 @@ from typing import Callable
 from .borel import consistency_check, sw_height
 from .decomp import conf_closed_form, decompose, published_closed_form, reduced_table
 from .gf2 import from_indices, submasks
-from .quotient import conf_module, fixed_element_x, kernel_generators, phi_star_build
+from .quotient import conf_module, fixed_element_x, phi_star_build
 from .torus import (
     Decomposition,
     Sigma2Module,
@@ -28,7 +28,6 @@ from .torus import (
     monomials,
     positions,
     torus_closed_form,
-    torus_module,
     total_dim,
 )
 
@@ -101,31 +100,27 @@ def _fixed_cosets(d: int, i: int, module: Sigma2Module) -> int | str:
 def _degree(d: int, i: int) -> tuple:
     """Build conf_module(d, i) once and record what the checks read of it:
     decompositions with and without relations, generator count and span
-    dim, fixed-element outcome. The module goes when this returns.
+    dim, fixed-element outcome (below degree 2d only). The module goes when
+    this returns.
 
-    Below degree 2d the swap is read once: decompose reads the module's
-    fixed_points, and the relation-free decomposition is
-    (n, fixed, (n - fixed) / 2) from the same cached count. A swap that is
-    not an involution caches no count and fails both."""
+    The swap is read once: decompose reads the module's fixed_points, and
+    the relation-free decomposition is (n, fixed, (n - fixed) / 2) from the
+    same cached count. A swap that is not an involution caches no count and
+    fails both."""
     module = conf_module(d, i)
     kp = module.presentation
     conf = _attempt(lambda: decompose(module))
-    if i < 2 * d:
-        n = len(module.swap)
-        torus = _attempt(
-            lambda: Decomposition(n, module.fixed_points, (n - module.fixed_points) // 2)
-        )
-        cosets = _attempt(lambda: _fixed_cosets(d, i, module))
-    else:  # conf_module is the empty shortcut
-        torus = _attempt(lambda: decompose(torus_module(d, i)))
-        cosets = None
+    n = len(module.swap)
+    torus = _attempt(
+        lambda: Decomposition(n, module.fixed_points, (n - module.fixed_points) // 2)
+    )
+    cosets = _attempt(lambda: _fixed_cosets(d, i, module)) if i < 2 * d else None
     return torus, conf, (len(kp.generators), kp.span_dim), cosets
 
 
 def _sweep(d: int) -> tuple[tuple, ...]:
-    """Each fact of _degree over degrees 0..2d+1, one module alive at a time:
-    one swap pass per degree below 2d, and the torus modules of degrees 2d
-    and 2d + 1 decomposed outright."""
+    """Each fact of _degree over degrees 0..2d+1, one module alive at a time
+    and one swap pass per degree."""
     return tuple(zip(*(_degree(d, i) for i in range(2 * d + 2))))
 
 
@@ -149,7 +144,7 @@ def _check_kernel_span(d: int, kernels) -> tuple[bool, str]:
         expected = binom(d, i - d)
         if count != expected or span_dim != expected:
             return False, f"degree {i}: span dim {span_dim}, expected {expected}"
-    if kernel_generators(d, 2 * d).span_dim != total_dim(d, 2 * d):
+    if kernels[2 * d][1] != total_dim(d, 2 * d):
         return False, "top degree is not exhausted"
     return True, "generators independent, counts as expected"
 

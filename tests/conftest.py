@@ -10,6 +10,5 @@ settings.load_profile("default")
 @pytest.fixture(autouse=True)
 def cold_decomposition_cache():
     """Start every test with no cached decomposition, so a test that patches
-    a layer below either cache runs that layer whatever ran before it."""
-    decomp._conf_decomposition.cache_clear()
+    a layer below the cache runs that layer whatever ran before it."""
     decomp._table_decomposition.cache_clear()

@@ -40,13 +40,39 @@ def test_compute_zero_module(capsys, monkeypatch):
         raise AssertionError("a module above degree 2d must not build the swap")
 
     # at d = 40 the swap's tables would have 2^40 entries, so fail fast
-    # instead of hanging if the empty module stops being a shortcut
+    # instead of hanging if compute ever builds one
     monkeypatch.setattr(torus, "swap_permutation", refuse)
     monkeypatch.setattr(quotient, "swap_permutation", refuse)
     for d, i in (("1", "5"), ("40", "100")):
         code, doc = run_json(capsys, "compute", "--d", d, "--i", i)
         assert code == 0
         assert doc["payload"]["dim"] == 0
+
+
+def refuse_ambient(monkeypatch):
+    """Make building an ambient swap or any module raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an ambient swap or a module")
+
+    monkeypatch.setattr(torus, "swap_permutation", refuse)
+    monkeypatch.setattr(quotient, "swap_permutation", refuse)
+    monkeypatch.setattr(quotient, "conf_module", refuse)
+    monkeypatch.setattr(torus.Sigma2Module, "__post_init__", refuse)
+
+
+COMPUTE_D15_I15 = "6ea70094b70b38b222e52eb9e166eb15c879dcd01c8d37edcd14713c716fc857"
+
+
+def test_compute_builds_nothing_ambient(monkeypatch):
+    # compute counts relation rows; the digest of --d 15 --i 15 was recorded
+    # from the ambient elimination, which built a 620 MB swap for it
+    refuse_ambient(monkeypatch)
+    digests = json.loads(DIGESTS.read_text())
+    documents = {c: h for c, h in digests.items() if c.startswith("compute ")}
+    assert documents
+    documents["compute --d 15 --i 15"] = COMPUTE_D15_I15
+    for command, digest in sorted(documents.items()):
+        assert_document(command, digest)
 
 
 def test_compute_flags_non_integral_published_count(capsys):
@@ -298,16 +324,22 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch
 
 def test_out_probe_keeps_an_existing_file_and_leaves_no_new_one(tmp_path, capsys):
     # a d past the cap is refused after the probe: the existing file is not
-    # truncated and a missing one is not left behind
+    # truncated, and neither a missing file nor the target of a dangling
+    # link is left behind
     d = str(cli.DMAX_CAP + 1)
     existing = tmp_path / "existing.json"
     existing.write_text("kept\n")
+    link, target = tmp_path / "link", tmp_path / "target"
+    link.symlink_to(target)
     assert run_cli(capsys, "table", "--d", d, "--out", str(existing))[0] == 2
     assert existing.read_text() == "kept\n"
-    assert run_cli(capsys, "table", "--d", d, "--out", str(tmp_path / "new"))[0] == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.json"]
-    assert run_cli(capsys, "table", "--d", "2", "--out", str(existing))[0] == 0
-    assert json.loads(existing.read_text())["payload"]["d"] == 2
+    for new in (tmp_path / "new", link):
+        assert run_cli(capsys, "table", "--d", d, "--out", str(new))[0] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.json", "link"]
+    assert link.readlink() == target
+    for out in (existing, link):  # a link is written through to its target
+        assert run_cli(capsys, "table", "--d", "2", "--out", str(out))[0] == 0
+        assert json.loads(out.read_text())["payload"]["d"] == 2
 
 
 def test_version_flag(capsys):
@@ -346,45 +378,48 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
+def assert_document(command, digest):
+    """Run ``command`` through cli.main: exit 0, stdout with sha256 ``digest``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(command.split())
+    assert code == 0, command
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
+
+
 def test_documents_match_recorded_digests():
     digests = json.loads(DIGESTS.read_text())
     for command, digest in sorted(digests.items()):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(command.split())
-        assert code == 0, command
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
+        assert_document(command, digest)
 
 
 def test_documents_match_recorded_digests_cold_and_warm(monkeypatch):
-    # the first pass fills both decomposition caches, the second reads them:
-    # compute builds its modules, the table documents count relation rows
-    built, counted = [], []
-    build, count = decomp.conf_module, decomp.relation_decomposition
-
-    def counted_build(d, i):
-        built.append((d, i))
-        return build(d, i)
+    # the first pass fills the decomposition cache, the second reads it; the
+    # check documents build their modules as the oracle, every other
+    # document counts relation rows and builds none
+    counted, builders, current = [], set(), []
+    count, validate = decomp.relation_decomposition, torus.Sigma2Module.__post_init__
 
     def counted_count(d, i):
         counted.append((d, i))
         return count(d, i)
 
-    monkeypatch.setattr(decomp, "conf_module", counted_build)
+    def built(module):
+        builders.add(current[-1])
+        validate(module)
+
     monkeypatch.setattr(decomp, "relation_decomposition", counted_count)
+    monkeypatch.setattr(torus.Sigma2Module, "__post_init__", built)
     digests = json.loads(DIGESTS.read_text())
-    calls = []  # (modules built, relation counts) by the end of each pass
+    calls = []  # relation counts by the end of each pass
     for _ in range(2):
         for command, digest in sorted(digests.items()):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(command.split())
-            assert code == 0, command
-            assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
-        calls.append((len(built), len(counted)))
-    assert calls[0] == (len(set(built)), len(set(counted)))
-    assert min(calls[0]) > 0
+            current.append(command)
+            assert_document(command, digest)
+        calls.append(len(counted))
+    assert calls[0] == len(set(counted)) > 0
     assert calls[1] == calls[0]
+    assert builders == {c for c in digests if c.startswith("check ")}
 
 
 def test_check_output_is_byte_identical_across_runs():

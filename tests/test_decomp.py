@@ -215,12 +215,10 @@ def test_report_below_d():
 def test_cached_decomposition_matches_uncached_and_closed_form():
     for d in range(7):
         for i in range(2 * d + 2):
-            cached = decomp._conf_decomposition(d, i)
+            cached = decomp._table_decomposition(d, i)
+            assert cached == relation_decomposition(d, i)
             assert cached == decompose(conf_module(d, i)) == conf_closed_form(d, i)
-            assert decomp._conf_decomposition(d, i) is cached
-            counted = decomp._table_decomposition(d, i)
-            assert counted == cached
-            assert decomp._table_decomposition(d, i) is counted
+            assert decomp._table_decomposition(d, i) is cached
 
 
 # --- relation-local decomposition ------------------------------------------------

@@ -189,9 +189,15 @@ def test_kernel_generators_independent():
 
 
 def test_kernel_fills_top_degree():
+    # the one class of degree 2d is killed by its own relation
     for d in range(1, 6):
         kp = kernel_generators(d, 2 * d)
         assert kp.span_dim == total_dim(d, 2 * d) == 1
+        m = conf_module(d, 2 * d)
+        assert len(m.swap) == 1
+        assert len(m.presentation.generators) == 1
+        assert m.presentation.span_dim == 1
+        assert m.dim == 0
 
 
 def alt_generator(d, i, m):

@@ -4,7 +4,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from torusconf import decomp
+from torusconf import decomp, torus
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "regenerate_tables.py"
@@ -34,19 +34,15 @@ def test_written_files_match_recorded_digests(tmp_path, monkeypatch, capsys):
 def test_second_run_builds_no_module(tmp_path, monkeypatch, capsys):
     # the tables, polynomials and pages count relation rows, once per (d, i)
     # in the first run and never in the second; neither run builds a module
-    counted, built = Counter(), Counter()
-    count, build = decomp.relation_decomposition, decomp.conf_module
+    counted, built = Counter(), []
+    count = decomp.relation_decomposition
 
     def counting(d, i):
         counted[d, i] += 1
         return count(d, i)
 
-    def building(d, i):
-        built[d, i] += 1
-        return build(d, i)
-
     monkeypatch.setattr(decomp, "relation_decomposition", counting)
-    monkeypatch.setattr(decomp, "conf_module", building)
+    monkeypatch.setattr(torus.Sigma2Module, "__post_init__", lambda m: built.append(m))
     formats = ["json", "csv", "markdown", "latex"]
     regenerate_tables.run(tmp_path / "cold", formats)
     cold = Counter(counted)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from torusconf import decomp, torus, verify
+from torusconf import decomp, quotient, torus, verify
 from torusconf.gf2 import from_indices, quotient_structure
 from torusconf.quotient import conf_module, phi_star_build
 from torusconf.torus import (
@@ -79,7 +79,7 @@ def test_run_checks_builds_each_swap_once(monkeypatch):
 
 
 def test_run_checks_reads_each_swap_once(monkeypatch):
-    # below degree 2d one involution pass serves both decompositions
+    # in every degree one involution pass serves both decompositions
     passes = Counter()
     current = []
     original_pass = torus.involution_fixed_points
@@ -96,11 +96,11 @@ def test_run_checks_reads_each_swap_once(monkeypatch):
     monkeypatch.setattr(torus, "involution_fixed_points", counted)
     monkeypatch.setattr(verify, "_degree", degree)
     assert run_checks(4).passed
-    assert [passes[4, i] for i in range(8)] == [1] * 8
+    assert [passes[4, i] for i in range(10)] == [1] * 10
 
 
 def test_check_never_reads_the_decomposition_cache(monkeypatch):
-    # the pages and notes read the table cache; the oracles read neither
+    # the pages and notes read the cache; the oracles do not
     read = Counter()
 
     def wrong(d, i):
@@ -115,7 +115,6 @@ def test_check_never_reads_the_decomposition_cache(monkeypatch):
         built[d, i] += 1
         return original(d, i)
 
-    monkeypatch.setattr(decomp, "_conf_decomposition", wrong)
     monkeypatch.setattr(decomp, "_table_decomposition", wrong)
     monkeypatch.setattr(verify, "conf_module", counted)
     suite = run_checks(3)
@@ -206,7 +205,7 @@ def test_raise_in_degree_work_fails_only_its_check(monkeypatch):
 
 
 def test_kernel_span_tests_the_top_degree_at_every_d(monkeypatch):
-    original = verify.kernel_generators
+    original = quotient.kernel_generators
 
     def short(d, i):
         kp = original(d, i)
@@ -215,7 +214,7 @@ def test_kernel_span_tests_the_top_degree_at_every_d(monkeypatch):
         gens = kp.generators[1:]  # the top degree's one generator dropped
         return torus.KernelPresentation(gens, quotient_structure(total_dim(d, i), gens))
 
-    monkeypatch.setattr(verify, "kernel_generators", short)
+    monkeypatch.setattr(quotient, "kernel_generators", short)
     entries = {e.name: e for e in run_checks(7).entries}
     assert not entries["kernel-span d=7"].passed
     assert entries["kernel-span d=7"].detail == "top degree is not exhausted"
