@@ -14,7 +14,7 @@ and an exact rank-bookkeeping match for every drop between pages.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
@@ -33,27 +33,34 @@ def _normalize_page(page: int | str | None) -> int | None:
     return p
 
 
-@dataclass(frozen=True)
-class SSPage:
+class SSPage(namedtuple("SSPage", "d page pmax rows provenance source_figure")):
     """One page: a (p, q) dimension table for 0 <= p <= pmax, 0 <= q <= 2d-1.
 
-    Every row repeats its last column for every p > pmax (the alpha tail),
-    so truncation loses no information.
+    ``page`` is the page number, None for the limit page; ``rows[q][p]`` is
+    the dimension at (p, q). Every row repeats its last column for every
+    p > pmax (the alpha tail), so truncation loses no information.
+
+    ``_replace`` and ``_make`` bypass these checks: build pages through the
+    constructor.
     """
 
-    d: int
-    page: int | None
-    pmax: int
-    rows: tuple[tuple[int, ...], ...]
-    provenance: str
-    source_figure: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != self.pmax + 1:
+    def __new__(
+        cls,
+        d: int,
+        page: int | None,
+        pmax: int,
+        rows: tuple[tuple[int, ...], ...],
+        provenance: str,
+        source_figure: str | None = None,
+    ) -> SSPage:
+        for row in rows:
+            if len(row) != pmax + 1:
                 raise ValueError("row width must be pmax + 1")
             if any(x < 0 for x in row):
                 raise ValueError("dimensions must be nonnegative")
+        return super().__new__(cls, d, page, pmax, rows, provenance, source_figure)
 
     @property
     def qmax(self) -> int:
@@ -74,7 +81,7 @@ class SSPage:
             tuple(self.dim_at(p, q) for p in range(pmax + 1))
             for q in range(self.qmax + 1)
         )
-        return replace(self, pmax=pmax, rows=rows)
+        return SSPage(self.d, self.page, pmax, rows, self.provenance, self.source_figure)
 
     def antidiagonal_sums(self, max_degree: int) -> tuple[int, ...]:
         """Total dimension in each degree n = p + q, for n = 0 .. max_degree."""
@@ -118,7 +125,8 @@ def _fixture_pages() -> dict[tuple[int, int | None], SSPage]:
         )
     # The d = 2 sequence degenerates after page 4: page 4 already equals the
     # limit page.
-    pages[2, 4] = replace(pages[2, None], page=4)
+    limit = pages[2, None]
+    pages[2, 4] = SSPage(2, 4, limit.pmax, limit.rows, limit.provenance, limit.source_figure)
     return pages
 
 
@@ -137,25 +145,26 @@ def fixture_page(d: int, page: int | str | None) -> SSPage:
     return stored
 
 
-@dataclass(frozen=True)
-class AlphaModuleSummand:
+class AlphaModuleSummand(namedtuple(
+    "AlphaModuleSummand", "generator_degree truncation multiplicity"
+)):
     """A cyclic summand F2[a]/(a^truncation) generated in one degree."""
 
-    generator_degree: int
-    truncation: int
-    multiplicity: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.truncation < 1 or self.multiplicity < 1 or self.generator_degree < 0:
+    def __new__(
+        cls, generator_degree: int, truncation: int, multiplicity: int
+    ) -> AlphaModuleSummand:
+        if truncation < 1 or multiplicity < 1 or generator_degree < 0:
             raise ValueError("invalid summand")
+        return super().__new__(cls, generator_degree, truncation, multiplicity)
 
 
-@dataclass(frozen=True)
-class UconfModule:
-    """Graded module structure of the unordered configuration space."""
+class UconfModule(namedtuple("UconfModule", "d summands")):
+    """Graded module structure of the unordered configuration space: its
+    ``AlphaModuleSummand``s."""
 
-    d: int
-    summands: tuple[AlphaModuleSummand, ...]
+    __slots__ = ()
 
     def graded_dims(self, max_degree: int) -> tuple[int, ...]:
         dims = [0] * (max_degree + 1)

@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -86,6 +85,8 @@ def _render(doc: dict, headers: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
+        import csv  # on first use: only csv documents need it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)

@@ -59,9 +59,9 @@ integer. Reports always carry both; brute force is the arbiter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .gf2 import SubspaceNotPreservedError, echelon
 from .quotient import _relation_terms
@@ -74,6 +74,9 @@ from .torus import (
     positions,
     torus_closed_form,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def decompose(m: Sigma2Module) -> Decomposition:
@@ -167,6 +170,10 @@ def published_closed_form(d: int, i: int) -> tuple[Fraction, Fraction]:
     k = (i-1)/2; that term makes the count non-integral whenever C(d, k)
     is odd (already at d = 3, i = 3).
     """
+    # imported on first use: fractions loads decimal, and only compute and
+    # check read the published counts
+    from fractions import Fraction
+
     if i < 0 or i >= 2 * d:
         return Fraction(0), Fraction(0)
     total = Fraction(sum(binom(d, j) * binom(d, i - j) for j in range(i + 1)))
@@ -181,17 +188,15 @@ def published_closed_form(d: int, i: int) -> tuple[Fraction, Fraction]:
     return Fraction(moved), (total - binom(d, k)) / 2 - moved
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
-    """Brute force next to both closed-form readings for one (d, i)."""
+class ClosedFormReport(namedtuple(
+    "ClosedFormReport",
+    "d i brute corrected published_trivial published_regular published_integral",
+)):
+    """Brute force next to both closed-form readings for one (d, i): the
+    count from the relation rows and the corrected closed form, each a
+    ``Decomposition``, and the published multiplicities as ``Fraction``s."""
 
-    d: int
-    i: int
-    brute: Decomposition
-    corrected: Decomposition
-    published_trivial: Fraction
-    published_regular: Fraction
-    published_integral: bool
+    __slots__ = ()
 
 
 def closed_form_report(d: int, i: int) -> ClosedFormReport:

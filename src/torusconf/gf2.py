@@ -18,7 +18,7 @@ are reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import Collection, Iterable, Iterator
 
@@ -64,23 +64,22 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+class Gf2Matrix(namedtuple("Gf2Matrix", "nrows ncols rows")):
     """A dense GF(2) matrix; column j holds the image of basis vector j.
+    ``rows`` is a tuple of ``nrows`` row masks, each below 2^ncols.
 
     No pipeline code builds one: it is the type of the dense oracles
     (``torus.sigma_matrix``, ``induced_map_on_quotient``) the tests read."""
 
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.nrows:
+    def __new__(cls, nrows: int, ncols: int, rows: tuple[int, ...]) -> Gf2Matrix:
+        if len(rows) != nrows:
             raise ValueError("row count does not match nrows")
-        for r in self.rows:
-            if r < 0 or r >> self.ncols:
+        for r in rows:
+            if r < 0 or r >> ncols:
                 raise ValueError("row bits fall outside ncols")
+        return super().__new__(cls, nrows, ncols, rows)
 
     @classmethod
     def identity(cls, n: int) -> Gf2Matrix:
@@ -176,8 +175,7 @@ def echelon(rows: Iterable[Collection[int]]) -> dict[int, set[int]]:
     return pivots
 
 
-@dataclass(frozen=True)
-class QuotientBasis:
+class QuotientBasis(namedtuple("QuotientBasis", "ambient_dim rows pivots")):
     """An ambient space modulo a subspace, with canonical coset representatives.
 
     ``rows`` is the reduced row-echelon basis of the subspace, ordered by
@@ -189,9 +187,7 @@ class QuotientBasis:
     masks for the dense oracles.
     """
 
-    ambient_dim: int
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
+    # no __slots__: each cached_property is stored in the instance __dict__
 
     @property
     def dim(self) -> int:

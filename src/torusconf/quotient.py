@@ -17,7 +17,6 @@ from .gf2 import quotient_structure, submasks
 from .torus import (
     KernelPresentation,
     Sigma2Module,
-    kunneth_index,
     monomials,
     offsets,
     positions,
@@ -107,7 +106,9 @@ def fixed_element_x(d: int, i: int, m: int) -> tuple[int, ...]:
     The kept terms (left, right) of the generator attached to the monomial
     mask ``m`` are all terms whose left degree exceeds half the free weight,
     plus, when the free weight 2d-i is even, the middle-layer terms whose
-    right free part is the smaller mask of its pair.
+    right free part is the smaller mask of its pair. Each is ranked as
+    ``kernel_generators`` ranks it, offsets(d, i)[left] + positions(d)[right];
+    a test holds the ranks to the validating ``kunneth_index``.
     """
     if not d <= i < 2 * d:
         raise ValueError("degree must satisfy d <= i < 2d")
@@ -117,9 +118,10 @@ def fixed_element_x(d: int, i: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"expected a degree-{i - d} monomial inside 1..{d}")
     free = full ^ m
     n = 2 * d - i
+    off, pos = offsets(d, i), positions(d)
     kept = []
     for left, right in _relation_terms(d, m):
         a = right ^ m
         if 2 * a.bit_count() < n or (2 * a.bit_count() == n and a < free ^ a):
-            kept.append(kunneth_index(d, i, left, right))
+            kept.append(off[left] + pos[right])
     return tuple(kept)

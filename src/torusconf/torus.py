@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
-from .gf2 import Gf2Matrix, QuotientBasis, bit_indices, from_indices, quotient_structure
+from .gf2 import Gf2Matrix, bit_indices, from_indices, quotient_structure
 
 
 def binom(m: int, n: int) -> int:
@@ -181,28 +181,25 @@ def sigma_matrix(d: int, i: int) -> Gf2Matrix:
     return Gf2Matrix(len(pairs), len(pairs), tuple(rows))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "dim trivial regular")):
     """Multiplicities of the two indecomposables: trivial and regular summands."""
 
-    dim: int
-    trivial: int
-    regular: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.dim, self.trivial, self.regular) < 0:
+    def __new__(cls, dim: int, trivial: int, regular: int) -> Decomposition:
+        if min(dim, trivial, regular) < 0:
             raise ValueError("negative multiplicity")
-        if self.trivial + 2 * self.regular != self.dim:
+        if trivial + 2 * regular != dim:
             raise ValueError("trivial + 2 * regular must equal dim")
+        return super().__new__(cls, dim, trivial, regular)
 
 
-@dataclass(frozen=True)
-class KernelPresentation:
-    """Relation generators in an ambient space, with the quotient by their
-    span; each generator lists the positions of its terms."""
+class KernelPresentation(namedtuple("KernelPresentation", "generators quotient")):
+    """Relation generators in an ambient space, with the ``QuotientBasis`` of
+    its quotient by their span; each generator lists the positions of its
+    terms."""
 
-    generators: tuple[tuple[int, ...], ...]
-    quotient: QuotientBasis
+    __slots__ = ()
 
     @property
     def span_dim(self) -> int:
@@ -235,21 +232,21 @@ def involution_fixed_points(perm: Sequence[int]) -> int:
     return fixed
 
 
-@dataclass(frozen=True)
-class Sigma2Module:
+class Sigma2Module(namedtuple("Sigma2Module", "swap presentation")):
     """An F2-vector space with an involution: the ambient tensor basis, which
     ``swap`` permutes (entry j is the image of basis vector j), modulo the
-    swap-stable span of the relations in ``presentation``. The involution of
-    the module is the one ``swap`` induces on quotient coordinates; with no
-    relations the module is the ambient space itself.
+    swap-stable span of the relations in the ``KernelPresentation``
+    ``presentation``. The involution of the module is the one ``swap``
+    induces on quotient coordinates; with no relations the module is the
+    ambient space itself.
     """
 
-    swap: Sequence[int]
-    presentation: KernelPresentation
+    # no __slots__: the cached fixed_points is stored in the instance __dict__
 
-    def __post_init__(self) -> None:
-        if len(self.swap) != self.presentation.quotient.ambient_dim:
+    def __new__(cls, swap: Sequence[int], presentation: KernelPresentation) -> Sigma2Module:
+        if len(swap) != presentation.quotient.ambient_dim:
             raise ValueError("swap must permute the ambient basis")
+        return super().__new__(cls, swap, presentation)
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import resource
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from typing import Callable
 
@@ -37,20 +37,16 @@ _SAMPLE_SEED = 95077
 _SAMPLE_PAIRS = 10_000
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(namedtuple("CheckEntry", "name passed detail", defaults=("",))):
     """One named verification outcome with a human-readable detail."""
 
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    dmax: int
-    entries: tuple[CheckEntry, ...]
-    notes: tuple[str, ...]
+class SuiteResult(namedtuple("SuiteResult", "dmax entries notes")):
+    """The ``CheckEntry``s of a suite run up to ``dmax``, and its notes."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -12,8 +12,8 @@ def line(correct=True, **values):
     return json.dumps({"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics})
 
 
-def problems(text, traced=False):
-    return bench_smoke.result_line_problems(text, traced)
+def problems(text):
+    return bench_smoke.result_line_problems(text)
 
 
 def test_a_well_formed_result_line_passes():
@@ -35,6 +35,7 @@ def test_a_wrong_run_or_a_non_result_line_fails():
     assert problems("[1, 2]")
 
 
-def test_null_marks_an_absent_span_only_when_traced():
-    assert problems(line(wall_s=None, peak_rss_mb=21), traced=True) == []
-    assert problems(line(wall_s=None, peak_rss_mb=21))
+def test_null_fails_traced_or_not():
+    # null marks a span the package no longer defines: a metric that reads
+    # nothing, in a traced run as much as in an untraced one
+    assert problems(line(wall_s=None, peak_rss_mb=21)) == ["wall_s = None is not a finite number"]

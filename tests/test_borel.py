@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from importlib import resources
 
@@ -7,6 +6,8 @@ import pytest
 from torusconf import borel, verify
 from torusconf.borel import (
     PAGE_INF,
+    AlphaModuleSummand,
+    SSPage,
     attribute_rank_drops,
     consistency_check,
     e2_page,
@@ -80,11 +81,28 @@ def test_third_page_d2():
     assert page.source_figure == "figure-3"
 
 
-def test_fourth_page_d2_is_the_limit():
+def _refuse_pages(monkeypatch, refused):
+    """Make the SSPage constructor raise on the pages that ``refused`` picks
+    by (d, page, pmax), so that a path around its checks fails a test."""
+    new = SSPage.__new__
+
+    def strict(cls, d, page, pmax, *rest, **kwargs):
+        if refused(d, page, pmax):
+            raise ValueError("refused page")
+        return new(cls, d, page, pmax, *rest, **kwargs)
+
+    monkeypatch.setattr(SSPage, "__new__", strict)
+
+
+def test_fourth_page_d2_is_the_limit(monkeypatch):
     p4 = fixture_page(2, 4)
     pinf = fixture_page(2, PAGE_INF)
     assert p4.rows == pinf.rows
     assert p4.page == 4
+    # the stored file has no page 4: only the alias builds one
+    _refuse_pages(monkeypatch, lambda d, page, pmax: page == 4)
+    with pytest.raises(ValueError, match="refused page"):
+        borel._fixture_pages.__wrapped__()
 
 
 def test_unsupported_pages_raise():
@@ -92,6 +110,10 @@ def test_unsupported_pages_raise():
         fixture_page(4, 3)
     with pytest.raises(ValueError):
         fixture_page(3, 4)
+    with pytest.raises(ValueError, match="width"):
+        SSPage(2, 3, 1, ((1, 1), (1,)), "fixture")
+    with pytest.raises(ValueError, match="nonnegative"):
+        SSPage(2, 3, 1, ((1, -1),), "fixture")
 
 
 def test_pages_monotone_entrywise():
@@ -121,12 +143,15 @@ def test_fixture_loader_rejects_a_row_that_is_not_eventually_constant(monkeypatc
         borel._fixture_pages.__wrapped__()  # past the cache of the real file
 
 
-def test_with_pmax_extends_constant_tail():
+def test_with_pmax_extends_constant_tail(monkeypatch):
     page = fixture_page(2, PAGE_INF).with_pmax(8)
     assert page.rows[0] == (1, 1, 1, 0, 0, 0, 0, 0, 0)
     assert page.dim_at(30, 0) == 0
     narrowed = page.with_pmax(2)
     assert narrowed.rows[2] == (3, 2, 0)
+    _refuse_pages(monkeypatch, lambda d, page, pmax: pmax == 9)
+    with pytest.raises(ValueError, match="refused page"):
+        page.with_pmax(9)
 
 
 def test_antidiagonal_sums():
@@ -149,6 +174,8 @@ def test_uconf_top_degree_vanishes_d2():
 def test_uconf_unsupported():
     with pytest.raises(ValueError):
         uconf_fixture(4)
+    with pytest.raises(ValueError):
+        AlphaModuleSummand(0, 0, 1)  # F2[a]/(a^0) is no summand
 
 
 # --- characteristic-class height ----------------------------------------------------
@@ -171,6 +198,11 @@ def test_sw_height_rejects_d1():
         sw_height(1)
 
 
+def _with_rows(page, rows):
+    """``page`` with ``rows`` in place of its own, built through the checks."""
+    return SSPage(page.d, page.page, page.pmax, rows, page.provenance, page.source_figure)
+
+
 def _patch_page(monkeypatch, d, page, changed):
     """Let borel.fixture_page return `changed` for (d, page), else the store."""
     original = borel.fixture_page
@@ -185,14 +217,14 @@ def test_sw_height_is_read_off_row_zero(monkeypatch):
     # alpha^2 dies on this d = 3 limit page, so the height is 1 and the
     # check names it
     limit = fixture_page(3, PAGE_INF)
-    _patch_page(monkeypatch, 3, PAGE_INF, dataclasses.replace(
-        limit, rows=((1, 1, 0, 0, 0, 0, 0, 0),) + limit.rows[1:]
+    _patch_page(monkeypatch, 3, PAGE_INF, _with_rows(
+        limit, ((1, 1, 0, 0, 0, 0, 0, 0),) + limit.rows[1:]
     ))
     assert sw_height(3) == 1
     assert verify._check_sw_height(3) == (False, "height 1 at d=3")
     # a power of alpha cannot come back after one has died
-    _patch_page(monkeypatch, 3, PAGE_INF, dataclasses.replace(
-        limit, rows=((1, 1, 0, 1, 0, 0, 0, 0),) + limit.rows[1:]
+    _patch_page(monkeypatch, 3, PAGE_INF, _with_rows(
+        limit, ((1, 1, 0, 1, 0, 0, 0, 0),) + limit.rows[1:]
     ))
     with pytest.raises(ValueError):
         sw_height(3)
@@ -225,7 +257,7 @@ def test_consistency_unsupported():
 def _set_cell(page, q, p, value):
     rows = list(list(r) for r in page.rows)
     rows[q][p] = value
-    return dataclasses.replace(page, rows=tuple(tuple(r) for r in rows))
+    return _with_rows(page, tuple(tuple(r) for r in rows))
 
 
 def test_attribution_on_real_pages():

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from torusconf import cli, decomp, quotient, torus
+from torusconf import cli, decomp, quotient, torus, verify
 from torusconf.cli import main, module_label
 
 
@@ -57,7 +58,7 @@ def refuse_ambient(monkeypatch):
     monkeypatch.setattr(torus, "swap_permutation", refuse)
     monkeypatch.setattr(quotient, "swap_permutation", refuse)
     monkeypatch.setattr(quotient, "conf_module", refuse)
-    monkeypatch.setattr(torus.Sigma2Module, "__post_init__", refuse)
+    monkeypatch.setattr(torus.Sigma2Module, "__new__", refuse)
 
 
 COMPUTE_D15_I15 = "6ea70094b70b38b222e52eb9e166eb15c879dcd01c8d37edcd14713c716fc857"
@@ -398,18 +399,18 @@ def test_documents_match_recorded_digests_cold_and_warm(monkeypatch):
     # check documents build their modules as the oracle, every other
     # document counts relation rows and builds none
     counted, builders, current = [], set(), []
-    count, validate = decomp.relation_decomposition, torus.Sigma2Module.__post_init__
+    count, new = decomp.relation_decomposition, torus.Sigma2Module.__new__
 
     def counted_count(d, i):
         counted.append((d, i))
         return count(d, i)
 
-    def built(module):
+    def built(cls, *args):
         builders.add(current[-1])
-        validate(module)
+        return new(cls, *args)
 
     monkeypatch.setattr(decomp, "relation_decomposition", counted_count)
-    monkeypatch.setattr(torus.Sigma2Module, "__post_init__", built)
+    monkeypatch.setattr(torus.Sigma2Module, "__new__", built)
     digests = json.loads(DIGESTS.read_text())
     calls = []  # relation counts by the end of each pass
     for _ in range(2):
@@ -440,3 +441,36 @@ def test_package_import_and_exit_print_nothing():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True)
     assert (done.stdout, done.stderr) == (b"", b"")
+
+
+def test_cli_import_loads_no_module_only_some_commands_use():
+    # every torusconf process pays for `import torusconf.cli`: the records
+    # are namedtuples, not dataclasses (which load inspect, dis and ast), and
+    # fractions (with decimal) and csv are imported where they are used
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import torusconf.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
+    loaded = set(done.stdout.split())
+    assert "torusconf.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "csv"}
+
+
+def test_every_benchmark_span_and_binding_resolves():
+    # bench/layers.py wraps these by name and reports an absent one as null;
+    # bench/child.py taps cli.run_checks before main runs
+    script = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("layers", script)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for name, (modname, path) in layers.SPANS.items():
+        owner = importlib.import_module(modname)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        assert callable(owner), name
+    assert cli.run_checks is verify.run_checks
+    assert cli.decompose is decomp.decompose
+    assert cli.conf_module is quotient.conf_module

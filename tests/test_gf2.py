@@ -338,6 +338,8 @@ def test_matrix_validation():
         Gf2Matrix(2, 2, (0b100, 0))
     with pytest.raises(ValueError):
         Gf2Matrix(1, 2, (0, 0))
+    with pytest.raises(ValueError):
+        Gf2Matrix(1, 2, (-1,))
 
 
 def test_matrix_transpose_and_column():

@@ -288,6 +288,22 @@ def test_fixed_element_d2_top():
     assert sorted(x) == sorted([
         kunneth_index(2, 2, 0b11, 0b00), kunneth_index(2, 2, 0b10, 0b01)
     ])
+    # every (d, i, m) with d <= 7, 247 in all: the table-lookup ranks equal
+    # those of the validating kunneth_index, term by term
+    cases = 0
+    for d in range(1, 8):
+        full = (1 << d) - 1
+        for i in range(d, 2 * d):
+            n = 2 * d - i
+            for m in monomials(d, i - d):
+                free, expected = full ^ m, []
+                for left, right in _relation_terms(d, m):
+                    a = right ^ m
+                    if 2 * a.bit_count() < n or (2 * a.bit_count() == n and a < free ^ a):
+                        expected.append(kunneth_index(d, i, left, right))
+                assert fixed_element_x(d, i, m) == tuple(expected), (d, i, m)
+                cases += 1
+    assert cases == 247
 
 
 def test_fixed_element_rejects_bad_input():

@@ -35,14 +35,16 @@ def test_second_run_builds_no_module(tmp_path, monkeypatch, capsys):
     # the tables, polynomials and pages count relation rows, once per (d, i)
     # in the first run and never in the second; neither run builds a module
     counted, built = Counter(), []
-    count = decomp.relation_decomposition
+    count, new = decomp.relation_decomposition, torus.Sigma2Module.__new__
 
     def counting(d, i):
         counted[d, i] += 1
         return count(d, i)
 
     monkeypatch.setattr(decomp, "relation_decomposition", counting)
-    monkeypatch.setattr(torus.Sigma2Module, "__post_init__", lambda m: built.append(m))
+    monkeypatch.setattr(
+        torus.Sigma2Module, "__new__", lambda cls, *args: built.append(args) or new(cls, *args)
+    )
     formats = ["json", "csv", "markdown", "latex"]
     regenerate_tables.run(tmp_path / "cold", formats)
     cold = Counter(counted)

@@ -248,6 +248,8 @@ def test_decomposition_validation():
         Decomposition(3, 2, 1)  # 2 + 2*1 != 3
     with pytest.raises(ValueError):
         Decomposition(2, -2, 2)
+    with pytest.raises(ValueError):  # a 2-entry swap on a 1-dimensional basis
+        torus.Sigma2Module(swap_permutation(1, 1), torus_module(1, 0).presentation)
 
 
 
