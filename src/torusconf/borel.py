@@ -8,7 +8,7 @@ hand; those tables ship as versioned JSON fixtures, together with the
 graded module structure of the unordered configuration space they converge
 to. Consistency checks tie the three together: computed second page versus
 fixture, anti-diagonal sums versus graded dimensions, entrywise monotony,
-and an exact rank-bookkeeping match for every drop between pages.
+and that the stored later pages are the closed-form differentials' pages.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .decomp import conf_table
+from .torus import binom
 
 PAGE_INF = "inf"
 
@@ -55,6 +56,8 @@ class SSPage(namedtuple("SSPage", "d page pmax rows provenance source_figure")):
         provenance: str,
         source_figure: str | None = None,
     ) -> SSPage:
+        if len(rows) != 2 * d:
+            raise ValueError("a page has 2d rows")
         for row in rows:
             if len(row) != pmax + 1:
                 raise ValueError("row width must be pmax + 1")
@@ -221,81 +224,37 @@ def sw_height(d: int) -> int:
     return row0.index(0) - 1
 
 
-def attribute_rank_drops(
-    src: SSPage, dst: SSPage, allowed_r: tuple[int, ...]
-) -> tuple[bool, tuple[int, int] | None]:
-    """Explain every entrywise drop between two pages by differential ranks.
+def differentials(d: int) -> dict[int, tuple[int, int, int]]:
+    """The nonzero differentials, r -> (rank, source row, target row): for
+    0 <= k < d, d_r with r = d - k + 1 has rank C(d, k) in every column, from
+    row k + d to row 2k."""
+    return {d - k + 1: (binom(d, k), k + d, 2 * k) for k in range(d)}
 
-    A rank-x differential d_r removes x from its source (p, q) and x from
-    its target (p + r, q - r + 1); targets beyond pmax are out of view and
-    absorb anything. Returns (True, None) when a consistent assignment
-    exists, else (False, (p, q)) naming a cell whose drop cannot be matched.
-    """
-    if (src.d, src.pmax, src.qmax) != (dst.d, dst.pmax, dst.qmax):
+
+def _apply_differentials(src: SSPage, page: int | None) -> list[list[int]]:
+    """The rows that every d_r with src.page <= r < page (None: the limit
+    page) leaves of ``src``: d_r removes its rank from every column of its
+    source row and from the columns p >= r of its target row."""
+    rows = [list(row) for row in src.rows]
+    for r, (rank, source, target) in differentials(src.d).items():
+        if src.page is not None and src.page <= r and (page is None or r < page):
+            rows[source] = [x - rank for x in rows[source]]
+            rows[target][r:] = [x - rank for x in rows[target][r:]]
+    return rows
+
+
+def attribute_rank_drops(src: SSPage, dst: SSPage) -> tuple[bool, tuple[int, int] | None]:
+    """Check that the closed-form differentials turn ``src`` into ``dst``:
+    (True, None) if they do, else (False, (p, q)) for the first differing
+    cell, scanning rows from the top."""
+    if (src.d, src.pmax) != (dst.d, dst.pmax):
         raise ValueError("pages must share shape")
-    pmax, qmax = src.pmax, src.qmax
-    drop = {
-        (p, q): src.rows[q][p] - dst.rows[q][p]
-        for q in range(qmax + 1)
-        for p in range(pmax + 1)
-    }
-    if any(v < 0 for v in drop.values()):
-        raise ValueError("destination page exceeds source page somewhere")
-
-    # Differentials lower q, so scanning rows top-down makes each cell's
-    # incoming rank final before its outgoing rank is chosen.
-    cells = [(p, q) for q in range(qmax, -1, -1) for p in range(pmax + 1)]
-    received: dict[tuple[int, int], int] = {c: 0 for c in cells}
-    fail: list[tuple[int, int]] = []
-
-    def solve(k: int) -> bool:
-        if k == len(cells):
-            return True
-        p, q = cells[k]
-        need = drop[p, q] - received[p, q]
-        if need < 0:
-            if not fail:
-                fail.append((p, q))
-            return False
-        in_window: list[tuple[int, int]] = []
-        has_sink = False
-        for r in allowed_r:
-            tp, tq = p + r, q - r + 1
-            if tq < 0:
-                continue
-            if tp > pmax:
-                has_sink = True
-            else:
-                in_window.append((tp, tq))
-        if need == 0:
-            return solve(k + 1)
-        if not in_window and not has_sink:
-            if not fail:
-                fail.append((p, q))
-            return False
-
-        caps = [drop[t] - received[t] for t in in_window]
-
-        def distribute(idx: int, rest: int) -> bool:
-            if idx == len(in_window):
-                if rest and not has_sink:
-                    return False
-                return solve(k + 1)
-            for x in range(min(rest, caps[idx]), -1, -1):
-                received[in_window[idx]] += x
-                if distribute(idx + 1, rest - x):
-                    return True
-                received[in_window[idx]] -= x
-            return False
-
-        if distribute(0, need):
-            return True
-        if not fail:
-            fail.append((p, q))
-        return False
-
-    ok = solve(0)
-    return (True, None) if ok else (False, fail[0] if fail else None)
+    rows = _apply_differentials(src, dst.page)
+    for q in range(src.qmax, -1, -1):
+        for p in range(src.pmax + 1):
+            if rows[q][p] != dst.rows[q][p]:
+                return False, (p, q)
+    return True, None
 
 
 def consistency_check(d: int) -> tuple[bool, str]:
@@ -329,12 +288,12 @@ def consistency_check(d: int) -> tuple[bool, str]:
 
     attribution = None
     try:
-        ok23, cell23 = attribute_rank_drops(fix2, fix3, (2,))
-        okinf, cellinf = attribute_rank_drops(fix3, fixinf, tuple(range(3, 2 * d + 1)))
+        ok23, cell23 = attribute_rank_drops(fix2, fix3)
+        okinf, cellinf = attribute_rank_drops(fix3, fixinf)
         if not ok23:
-            attribution = f"pages 2->3: unattributable drop at (p, q) = {cell23}"
+            attribution = f"pages 2->3: closed form differs at (p, q) = {cell23}"
         elif not okinf:
-            attribution = f"pages 3->inf: unattributable drop at (p, q) = {cellinf}"
+            attribution = f"pages 3->inf: closed form differs at (p, q) = {cellinf}"
     except ValueError as exc:
         attribution = str(exc)
 

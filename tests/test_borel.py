@@ -10,6 +10,7 @@ from torusconf.borel import (
     SSPage,
     attribute_rank_drops,
     consistency_check,
+    differentials,
     e2_page,
     fixture_page,
     sw_height,
@@ -111,9 +112,11 @@ def test_unsupported_pages_raise():
     with pytest.raises(ValueError):
         fixture_page(3, 4)
     with pytest.raises(ValueError, match="width"):
-        SSPage(2, 3, 1, ((1, 1), (1,)), "fixture")
+        SSPage(2, 3, 1, ((1, 1), (1,), (1, 1), (1, 1)), "fixture")
     with pytest.raises(ValueError, match="nonnegative"):
-        SSPage(2, 3, 1, ((1, -1),), "fixture")
+        SSPage(2, 3, 1, ((1, -1), (1, 1), (1, 1), (1, 1)), "fixture")
+    with pytest.raises(ValueError, match="2d rows"):
+        SSPage(2, 3, 1, ((1, 1),) * 3, "fixture")
 
 
 def test_pages_monotone_entrywise():
@@ -261,35 +264,67 @@ def _set_cell(page, q, p, value):
 
 
 def test_attribution_on_real_pages():
-    for d in (2, 3):
-        ok, cell = attribute_rank_drops(fixture_page(d, 2), fixture_page(d, 3), (2,))
-        assert ok and cell is None
-        ok, cell = attribute_rank_drops(
-            fixture_page(d, 3), fixture_page(d, PAGE_INF), tuple(range(3, 2 * d + 1))
-        )
-        assert ok and cell is None
+    stored = {
+        2: [(2, 3), (3, PAGE_INF), (2, 4), (3, 4), (4, PAGE_INF)],  # page 4 aliases inf
+        3: [(2, 3), (3, PAGE_INF)],
+    }
+    for d, pairs in stored.items():
+        for a, b in pairs:
+            src, dst = fixture_page(d, a), fixture_page(d, b)
+            assert attribute_rank_drops(src, dst) == (True, None), (d, a, b)
 
 
 def test_attribution_flags_impossible_drop():
     # a drop in the bottom-left corner has no differential to blame
     src = fixture_page(2, 3)
     dst = _set_cell(fixture_page(2, PAGE_INF), 1, 0, 1)
-    ok, cell = attribute_rank_drops(src, dst, (3, 4))
-    assert not ok
-    assert cell == (0, 1)
+    assert attribute_rank_drops(src, dst) == (False, (0, 1))
 
 
 def test_attribution_flags_unmatched_target_drop():
-    # resurrect a killed cell: the drop elsewhere loses its partner
+    # resurrect a killed cell: d_3 kills it, so the resurrected cell differs
     src = fixture_page(2, 3)
     dst = _set_cell(fixture_page(2, PAGE_INF), 2, 2, 1)
-    ok, cell = attribute_rank_drops(src, dst, (3, 4))
-    assert not ok
-    assert cell == (5, 0)
+    assert attribute_rank_drops(src, dst) == (False, (2, 2))
 
 
 def test_attribution_rejects_growth():
     src = fixture_page(2, 3)
     dst = _set_cell(fixture_page(2, PAGE_INF), 0, 4, 2)
-    with pytest.raises(ValueError):
-        attribute_rank_drops(src, dst, (3, 4))
+    assert attribute_rank_drops(src, dst) == (False, (4, 0))
+
+
+def test_attribution_rejects_pages_of_different_shape():
+    with pytest.raises(ValueError, match="shape"):
+        attribute_rank_drops(fixture_page(2, 3), fixture_page(3, PAGE_INF))
+    with pytest.raises(ValueError, match="shape"):
+        attribute_rank_drops(fixture_page(2, 3), fixture_page(2, PAGE_INF).with_pmax(6))
+
+
+def test_consistency_rejects_every_corrupted_limit_cell(monkeypatch):
+    # each cell of the limit page set to each other value the third page
+    # allows, one cell at a time
+    earlier = ("second-page-match", "graded-dimension-match", "entrywise-monotone")
+    for d in (2, 3):
+        third, limit = fixture_page(d, 3), fixture_page(d, PAGE_INF)
+        for q in range(limit.qmax + 1):
+            for p in range(limit.pmax + 1):
+                for value in range(third.rows[q][p] + 1):
+                    if value == limit.rows[q][p]:
+                        continue
+                    with monkeypatch.context() as m:
+                        m.setitem(borel._fixture_pages(), (d, None),
+                                  _set_cell(limit, q, p, value))
+                        ok, detail = consistency_check(d)
+                    assert not ok, (d, p, q, value)
+                    assert detail.startswith(
+                        earlier + ("rank-drop-attribution: pages 3->inf",)
+                    ), detail
+
+
+def test_differentials_leave_height_d_beyond_the_fixtures():
+    for d in range(1, 9):
+        assert sorted(differentials(d)) == list(range(2, d + 2))
+        limit = borel._apply_differentials(e2_page(d, 2 * d + 2), None)
+        assert min(min(row) for row in limit) >= 0
+        assert tuple(limit[0]) == (1,) * (d + 1) + (0,) * (d + 2)
