@@ -257,12 +257,32 @@ def cmd_ss(args: argparse.Namespace) -> int:
     return _output(args, parameters, payload, headers, rows)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     if args.dmax > DMAX_CAP and not args.force:
         return _refuse(
             f"dmax {args.dmax} exceeds the default cap {DMAX_CAP} "
             "(degree spaces grow like C(2d, d)); pass --force to override"
         )
+    # the largest degree space of the sweep has C(2 dmax, dmax) classes, and
+    # its swap table (torus.swap_permutation) one 32-bit entry per class
+    size = binom(2 * args.dmax, args.dmax)
+    if size > 1 << 32:
+        return _refuse(f"dmax {args.dmax}: C({2 * args.dmax}, {args.dmax}) = "
+                       f"{size:,} classes do not fit the swap table's 32-bit entries")
+    memory = _physical_memory()
+    if memory is not None and 4 * size > memory:
+        return _refuse(f"dmax {args.dmax}: the swap table of degree {args.dmax} "
+                       f"alone takes {4 * size / 2**30:.1f} GiB, more than the "
+                       f"{memory / 2**30:.1f} GiB of physical memory")
     if args.dmax > DMAX_CAP:
         print(
             f"warning: dmax {args.dmax} above {DMAX_CAP}; this may take long",
@@ -320,14 +340,70 @@ def cmd_poincare(args: argparse.Namespace) -> int:
     )
 
 
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=FORMATS, default="json")
+    p.add_argument("--out", metavar="FILE", default=None)
+
+
+def _compute_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=_nonneg, required=True)
+    p.add_argument("--i", type=_nonneg, required=True)
+    _common(p)
+    p.set_defaults(func=cmd_compute)
+
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=_nonneg, required=True)
+    p.add_argument("--reduced", action="store_true",
+                   help="drop one trivial summand in degree 0")
+    _common(p)
+    p.set_defaults(func=cmd_table)
+
+
+def _ss_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=_positive, required=True)
+    p.add_argument("--page", choices=("2", "3", "4", "inf"), required=True)
+    p.add_argument("--pmax", type=_nonneg, default=None,
+                   help="last column to print (default 2d+2)")
+    _common(p)
+    p.set_defaults(func=cmd_ss)
+
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dmax", type=_positive, required=True)
+    p.add_argument("--force", action="store_true",
+                   help=f"allow dmax beyond the cap of {DMAX_CAP}")
+    _common(p)
+    p.set_defaults(func=cmd_check)
+
+
+def _poincare_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=_nonneg, required=True)
+    _common(p)
+    p.set_defaults(func=cmd_poincare)
+
+
+# command name -> (help line, function adding its arguments), in the order
+# of the top-level help
+COMMANDS = {
+    "compute": ("decompose one (d, i) cohomology module", _compute_arguments),
+    "table": ("full degree sweep for one d", _table_arguments),
+    "ss": ("emit a spectral-sequence page", _ss_arguments),
+    "check": ("run the full verification sweep", _check_arguments),
+    "poincare": ("graded dimensions and their closed product form",
+                 _poincare_arguments),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call (not at import) and shared by
-    every later call in the process, so callers must not modify it.
+    """The full CLI parser, built on the first call (not at import) and
+    shared by every later call in the process, so callers must not modify it.
 
     Sharing is safe because argparse keeps no state between ``parse_args``
-    calls; in-process callers that render many documents pay for argparse
-    construction once.
+    calls. ``main`` reaches it only for what no command's own parser
+    settles: the top-level ``-h`` and ``--version``, an empty argv, an
+    unknown command and leftover arguments.
     """
     parser = argparse.ArgumentParser(
         prog="torusconf",
@@ -339,52 +415,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=FORMATS, default="json")
-        p.add_argument("--out", metavar="FILE", default=None)
-
-    p = sub.add_parser("compute", help="decompose one (d, i) cohomology module")
-    p.add_argument("--d", type=_nonneg, required=True)
-    p.add_argument("--i", type=_nonneg, required=True)
-    common(p)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("table", help="full degree sweep for one d")
-    p.add_argument("--d", type=_nonneg, required=True)
-    p.add_argument("--reduced", action="store_true",
-                   help="drop one trivial summand in degree 0")
-    common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("ss", help="emit a spectral-sequence page")
-    p.add_argument("--d", type=_positive, required=True)
-    p.add_argument("--page", choices=("2", "3", "4", "inf"), required=True)
-    p.add_argument("--pmax", type=_nonneg, default=None,
-                   help="last column to print (default 2d+2)")
-    common(p)
-    p.set_defaults(func=cmd_ss)
-
-    p = sub.add_parser("check", help="run the full verification sweep")
-    p.add_argument("--dmax", type=_positive, required=True)
-    p.add_argument("--force", action="store_true",
-                   help=f"allow dmax beyond the cap of {DMAX_CAP}")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser(
-        "poincare",
-        help="graded dimensions and their closed product form",
-    )
-    p.add_argument("--d", type=_nonneg, required=True)
-    common(p)
-    p.set_defaults(func=cmd_poincare)
-
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+@cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, built and shared like
+    ``build_parser``. It is built as ``add_parser`` builds the subparser of
+    ``build_parser``, with the prog ``torusconf NAME``, so its usage, help
+    and error messages are those of the subcommand."""
+    parser = argparse.ArgumentParser(prog=f"torusconf {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args(argv)`` does.
+
+    The top-level parser hands every argument after a command name, as it
+    stands, to that command's parser; it adds only the ``command``
+    attribute and the error for arguments that parser leaves over. So when
+    ``argv[0]`` names a command and its parser leaves nothing over, that
+    parser's namespace is the result, and the top-level pass is skipped.
+    Everything else goes through ``build_parser``, which prints every
+    top-level message.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``. Returns the
+    exit code; argparse exits with code 2 (0 for help and version) itself.
+    """
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     # refused before any work: at --dmax 14 the work takes minutes
     reason = None if args.out is None else _probe_out(args.out)
     if reason is not None:

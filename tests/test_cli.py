@@ -233,6 +233,25 @@ def test_check_caps_dmax(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "check", "--dmax", dmax)
         assert code == 2
         assert "--force" in err
+    # with --force the swap table of degree dmax must still fit: 4 C(2d, d)
+    # bytes in memory (2.2 GiB at d = 16, 8.7 GiB at 17), and C(2d, d) in
+    # 32 bits (not so from d = 18 on, whatever the memory)
+    for dmax, memory, reason in (
+        (17, 8 << 30, "8.7 GiB, more than the 8.0 GiB of physical memory"),
+        (18, 1 << 40, "C(36, 18) = 9,075,135,300 classes do not fit"),
+    ):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        code, out, err = run_cli(capsys, "check", "--dmax", str(dmax), "--force")
+        assert (code, out) == (2, ""), dmax
+        assert err.startswith(f"error: dmax {dmax}: ") and reason in err, dmax
+        assert err.count("\n") == 1, dmax
+    stub = verify.SuiteResult(0, [], [])
+    monkeypatch.setattr(cli, "run_checks", lambda dmax, **kwargs: stub._replace(dmax=dmax))
+    # where sysconf cannot tell the memory, only the 32-bit half applies
+    for dmax, memory in ((16, 8 << 30), (17, None)):
+        monkeypatch.setattr(cli, "_physical_memory", lambda: memory)
+        code, doc = run_json(capsys, "check", "--dmax", str(dmax), "--force")
+        assert (code, doc["payload"]["dmax"]) == (0, dmax)
 
 
 def test_commands_cap_d(capsys, monkeypatch):
@@ -353,6 +372,7 @@ def test_version_flag(capsys):
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
+    assert cli.command_parser("table") is cli.command_parser("table")
     argv = ["table", "--d", "3", "--reduced", "--format", "latex"]
     code, first, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -372,6 +392,81 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert set(vars(parser.parse_args(["table", "--d", "2"]))) == {
         "command", "d", "reduced", "format", "out", "func",
     }
+
+
+def parse_outcome(parse, argv):
+    """``vars`` of the namespace ``parse(argv)`` returns, or, when it exits,
+    the exit code with what it printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# what the top-level parser settles, and what a command's parser must settle
+# as the top-level parser does when it hands the same arguments on
+EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["--version"], ["--vers"], ["--h"],
+    ["bogus"], ["comp", "--d", "3", "--i", "1"], ["--version", "table"],
+    ["-h", "table", "--d", "3"], ["--", "table", "--d", "3"],
+    ["table", "--d=3"], ["compute", "--d=2", "--i=1", "--format=csv"],
+    ["table", "--d", "3", "--fo", "csv"], ["table", "--d", "3", "--red"],
+    ["table", "--h"], ["table", "--d", "3", "-h"],
+    ["ss", "--d", "2", "--page", "3", "--p", "4"],
+    ["ss", "--d", "2", "--page", "3", "--pm", "4"],
+    ["table", "--d", "2", "--d", "3"], ["table", "--d", "3", "--reduced", "--reduced"],
+    ["table", "--", "--d", "3"], ["table", "--d", "3", "--"],
+    ["table", "--d", "3", "table"], ["compute", "--d", "2", "3"],
+    ["table", "--d", "3", "--version"], ["table", "--d", "3", "-h", "--version"],
+    ["table", "--d", "3", "--bogus"], ["table", "--d", "3", "-x"],
+    ["table"], ["compute", "--d", "3"], ["ss", "--page", "2"], ["check"],
+    ["table", "--d", "x"], ["table", "--d", "-1"], ["check", "--dmax", "0"],
+    ["ss", "--d", "0", "--page", "2"], ["ss", "--d", "2", "--page", "2", "--pmax", "-3"],
+    ["table", "--d", "3", "--format", "xml"], ["ss", "--d", "2", "--page", "5"],
+    ["table", "--d"], ["table", "--d", "3", "--out"],
+    ["check", "--dmax", "17", "--force", "--out", "x.json"],
+    ["poincare", "--d", "2", "--format", "latex"],
+]
+
+
+def test_command_parsers_parse_as_the_full_parser(monkeypatch):
+    # the full parser is the oracle: the same namespace, or the same exit
+    # with the same usage, help or error text at one fixed width
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [c.split() for c in json.loads(DIGESTS.read_text())] + EDGE_ARGVS
+    full = cli.build_parser().parse_args
+    for argv in argvs:
+        assert parse_outcome(cli.parse_args, argv) == parse_outcome(full, argv), argv
+
+
+def test_documents_never_reach_the_full_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("a valid document reached the full parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for command, digest in sorted(json.loads(DIGESTS.read_text()).items()):
+        assert_document(command, digest)
+
+
+def test_top_level_messages_come_from_the_full_parser(monkeypatch, capsys):
+    built, full = [], cli.build_parser
+
+    def counted():
+        built.append(True)
+        return full()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv, code in (
+        (["--help"], 0), (["--version"], 0), (["bogus"], 2),
+        (["table", "--d", "3", "extra"], 2),
+    ):
+        before = len(built)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert (err.value.code, len(built)) == (code, before + 1), argv
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
 
 
 # --- determinism -----------------------------------------------------------------
